@@ -3,7 +3,7 @@
 use columbia_linalg::{BlockMat, BlockTridiag};
 use columbia_mesh::Vec3;
 use columbia_partition::{graph::grid_graph, partition_graph, PartitionConfig};
-use columbia_rans::state::{flux_jacobian, freestream, rusanov};
+use columbia_rans::state::{flux_jacobian, freestream, rusanov, Primitives};
 use columbia_rt::bench::{black_box, Bench, Throughput};
 use columbia_sfc::{hilbert_encode, morton_encode};
 
@@ -49,12 +49,25 @@ fn bench_flux_kernels(c: &mut Bench) {
     let mut ur = ul;
     ur[0] = 1.1;
     let s = Vec3::new(0.4, -0.2, 0.1);
+    // The solver derives primitives once per vertex and reuses them on
+    // every incident edge, so the per-edge kernels are timed without it.
+    let (wl, wr) = (Primitives::of(&ul), Primitives::of(&ur));
+    let s_norm = s.norm();
     g.throughput(Throughput::Elements(1));
     g.bench_function("rusanov6", |bench| {
-        bench.iter(|| black_box(rusanov(black_box(&ul), black_box(&ur), s)))
+        bench.iter(|| {
+            black_box(rusanov(
+                black_box(&ul),
+                black_box(&wl),
+                black_box(&ur),
+                black_box(&wr),
+                s,
+                s_norm,
+            ))
+        })
     });
     g.bench_function("flux_jacobian6", |bench| {
-        bench.iter(|| black_box(flux_jacobian(black_box(&ul), s)))
+        bench.iter(|| black_box(flux_jacobian(black_box(&wl), s)))
     });
     g.finish();
 }

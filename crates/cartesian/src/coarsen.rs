@@ -148,16 +148,24 @@ pub fn coarsen_mesh(fine: &CartMesh) -> Coarsening {
         };
         *interior.entry(key).or_insert(Vec3::ZERO) += f.normal * sign;
     }
-    let mut faces: Vec<CartFace> = interior
+    // Sort on a total key: one coarse cell's boundary faces in different
+    // directions share `(a, u32::MAX)`, so the direction must break the
+    // tie or they would keep the maps' (per-process random) iteration
+    // order.
+    let mut keyed: Vec<((u32, u32, i8), Vec3)> = interior
         .into_iter()
-        .map(|((a, b), normal)| CartFace { a, b, normal })
+        .map(|((a, b), normal)| ((a, b, 0), normal))
         .collect();
-    faces.extend(boundary.into_iter().map(|((a, _), normal)| CartFace {
-        a,
-        b: u32::MAX,
-        normal,
-    }));
-    faces.sort_unstable_by_key(|f| (f.a, f.b));
+    keyed.extend(
+        boundary
+            .into_iter()
+            .map(|((a, dir), normal)| ((a, u32::MAX, dir), normal)),
+    );
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    let faces: Vec<CartFace> = keyed
+        .into_iter()
+        .map(|((a, b, _), normal)| CartFace { a, b, normal })
+        .collect();
 
     let coarse = CartMesh {
         centers,
@@ -285,6 +293,28 @@ mod tests {
         let r = c.ratio(m.ncells());
         assert!(r > 4.0, "ratio {r}");
         c.coarse.validate().unwrap();
+    }
+
+    /// Coarse boundary faces aggregate through hash maps whose iteration
+    /// order differs between maps even in one process; the face list
+    /// must not inherit it.
+    #[test]
+    fn coarsening_is_bit_reproducible_in_one_process() {
+        let m = sphere_mesh(5);
+        let key = |c: &Coarsening| -> Vec<(u32, u32, [u64; 3])> {
+            c.coarse
+                .faces
+                .iter()
+                .map(|f| {
+                    let n = f.normal;
+                    (f.a, f.b, [n.x.to_bits(), n.y.to_bits(), n.z.to_bits()])
+                })
+                .collect()
+        };
+        let first = key(&coarsen_mesh(&m));
+        for _ in 0..4 {
+            assert_eq!(key(&coarsen_mesh(&m)), first);
+        }
     }
 
     #[test]

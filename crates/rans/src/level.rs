@@ -10,27 +10,58 @@
 //! digest pinned against the AoS goldens still holds, on either kernel
 //! path (`COLUMBIA_KERNELS=scalar` keeps the one-block-at-a-time oracle by
 //! materialising AoS views lazily per edge/vertex).
+//!
+//! Per-vertex primitives (velocity, pressure, sound speed, enthalpy,
+//! `nu_t`, eddy-viscosity term) are derived once per residual by
+//! [`RansLevel::begin_residual`] and read by every incident edge; per-edge
+//! `|S|` and `|S|/length` are stored at construction. The implicit
+//! diagonal lives in one resident row per vertex ([`DiagRow`]) that the
+//! coalesced halo exchange ships as is.
 
 use crate::flops::{self, FlopCounter};
 use crate::state::{
-    self, flux_jacobian, freestream, fv1, pressure, rusanov, sa, spectral_radius, velocity, State,
-    GAMMA, NVARS,
+    flux_jacobian, flux_jacobian_entries, freestream, fv1, rusanov, sa, spectral_radius, velocity,
+    Primitives, State, GAMMA, NVARS,
 };
 use columbia_linalg::soa::{vec_batch_zero, BlockBatch, SoaStates, TridiagBatch, VecBatch, LANES};
 use columbia_linalg::{BlockMat, BlockTridiag};
-use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh};
+use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh, Vec3};
 use columbia_rt::env::{self, KernelKind};
 
 /// Edges per cache block of the plane-major Green-Gauss sweep: the
 /// gathered per-edge average-velocity and normal scratch (48 bytes/edge,
 /// ~24 KiB per block) stays cache-resident while the nine gradient
-/// component planes stream over it one at a time.
+/// component planes stream over it, three at a time.
 pub const EDGE_BLOCK: usize = 512;
 
 /// Vertices per cache block of the gradient-finalisation sweep: the
 /// inverse control volumes (8 KiB per block) are computed once and reused
 /// by all nine plane passes.
 pub const VBLOCK: usize = 1024;
+
+/// One vertex's implicit-diagonal row: the 36 row-major entries of its
+/// 6x6 block, then `lamsum` (the summed edge wavespeeds that set the local
+/// time step). Resident in this layout so the coalesced halo exchange
+/// ships it without a pack or unpack copy.
+pub(crate) type DiagRow = [f64; DIAG_ROW];
+
+/// Values per [`DiagRow`].
+const DIAG_ROW: usize = NVARS * NVARS + 1;
+
+/// Index of `lamsum` in a [`DiagRow`].
+const LAMSUM: usize = NVARS * NVARS;
+
+/// Planes of the per-vertex primitive cache: velocity (3), pressure,
+/// sound speed, total enthalpy, `nu_t`, and the eddy-viscosity term.
+const NPRIM: usize = 8;
+
+/// Static per-edge geometry: `|S|` (spectral radius) and `|S|/length`
+/// (edge-based diffusion).
+#[derive(Clone, Copy, Debug)]
+struct EdgeCoef {
+    s_norm: f64,
+    coef: f64,
+}
 
 /// Physical and numerical parameters shared by all levels.
 #[derive(Clone, Copy, Debug)]
@@ -92,15 +123,66 @@ impl SolverParams {
     }
 }
 
-/// Effective edge viscosity (laminar + mean turbulent eddy viscosity)
-/// from the two gathered endpoint states.
+/// One endpoint's eddy-viscosity term `rho nu_t fv1` (cached per vertex
+/// in the primitive planes), from its density and `nu_t = (rho nu_t)/rho`.
 #[inline]
-fn mu_eff(mu: f64, ua: &State, ub: &State) -> f64 {
-    let mt = |uv: &State| {
-        let nt = state::nu_tilde(uv).max(0.0);
-        uv[0] * nt * fv1(nt, mu / uv[0])
+fn eddy_term(mu: f64, rho: f64, nt: f64) -> f64 {
+    let nt = nt.max(0.0);
+    rho * nt * fv1(nt, mu / rho)
+}
+
+/// Effective edge viscosity (laminar + mean turbulent eddy viscosity)
+/// from the two endpoints' [`eddy_term`]s.
+#[inline]
+fn mu_eff(mu: f64, mt_a: f64, mt_b: f64) -> f64 {
+    mu + 0.5 * (mt_a + mt_b)
+}
+
+/// Vertex `i`'s cached velocity (the only primitive the gradient reads).
+#[inline]
+fn velocity_at(prim: &SoaStates<NPRIM>, i: usize) -> Vec3 {
+    Vec3::new(prim.at(0, i), prim.at(1, i), prim.at(2, i))
+}
+
+/// Vertex `i`'s cached primitives and eddy-viscosity term.
+#[inline]
+fn primitives_at(prim: &SoaStates<NPRIM>, i: usize) -> (Primitives, f64) {
+    let r = prim.get(i);
+    let w = Primitives {
+        vel: Vec3::new(r[0], r[1], r[2]),
+        p: r[3],
+        c: r[4],
+        h: r[5],
+        nt: r[6],
     };
-    mu + 0.5 * (mt(ua) + mt(ub))
+    (w, r[7])
+}
+
+/// The 6x6 block of a resident diagonal row.
+#[inline]
+fn diag_block(row: &DiagRow) -> BlockMat<NVARS> {
+    BlockMat::from_fn(|r, c| row[r * NVARS + c])
+}
+
+/// Accumulate `0.5 A(w, s) + d I` into a diagonal row in place. Skipping
+/// the Jacobian's structural zeros is exact: an accumulator that starts
+/// at `+0.0` can never become `-0.0`, so adding `+0.0` to it is a no-op.
+#[inline(always)]
+fn add_half_jacobian(row: &mut DiagRow, w: &Primitives, s: Vec3, d: f64) {
+    flux_jacobian_entries(w, s, |r, c, v| {
+        row[r * NVARS + c] += if r == c { v * 0.5 + d } else { v * 0.5 };
+    });
+    row[0] += d; // (0, 0) is a structural zero of the Jacobian
+}
+
+/// Read-only per-edge inputs of the line assembly besides the state: the
+/// mesh, the primitive cache, the per-edge geometry and `mu`.
+#[derive(Clone, Copy)]
+struct LineInputs<'a> {
+    mesh: &'a UnstructuredMesh,
+    prim: &'a SoaStates<NPRIM>,
+    edge_coef: &'a [EdgeCoef],
+    mu: f64,
 }
 
 /// Off-diagonal Jacobian blocks for line edge `i` (joining `line[i]` to
@@ -109,28 +191,27 @@ fn mu_eff(mu: f64, ua: &State, ub: &State) -> f64 {
 /// of code; a free function so the callers can hold disjoint borrows of
 /// the level's other fields (no `mem::take` dance).
 fn line_edge_blocks(
-    mesh: &UnstructuredMesh,
+    inp: LineInputs<'_>,
     u: &SoaStates<NVARS>,
-    mu: f64,
     line: &[u32],
     i: usize,
     ei: u32,
     sign: f64,
 ) -> (BlockMat<NVARS>, BlockMat<NVARS>) {
-    let e = &mesh.edges[ei as usize];
+    let e = &inp.mesh.edges[ei as usize];
+    let ec = inp.edge_coef[ei as usize];
     let s = e.normal * sign; // oriented line[i] -> line[i+1]
     let (vi, vj) = (line[i] as usize, line[i + 1] as usize);
-    let ui = u.get(vi);
-    let uj = u.get(vj);
-    let lam = spectral_radius(&ui, s).max(spectral_radius(&uj, s));
-    let coef = e.normal.norm() / e.length;
-    let me = mu_eff(mu, &ui, &uj);
-    let visc = me * coef / ui[0].min(uj[0]);
+    let (wi, mti) = primitives_at(inp.prim, vi);
+    let (wj, mtj) = primitives_at(inp.prim, vj);
+    let lam = spectral_radius(&wi, s, ec.s_norm).max(spectral_radius(&wj, s, ec.s_norm));
+    let me = mu_eff(inp.mu, mti, mtj);
+    let visc = me * ec.coef / u.at(0, vi).min(u.at(0, vj));
     // dN_i/du_j = 0.5 A(u_j, S_out) - (0.5 lam + visc) I.
-    let mut upper = flux_jacobian(&uj, s) * 0.5;
+    let mut upper = flux_jacobian(&wj, s) * 0.5;
     upper.add_diagonal(-(0.5 * lam + visc));
     // dN_{i+1}/du_i with outward normal -S.
-    let mut lower = flux_jacobian(&ui, -s) * 0.5;
+    let mut lower = flux_jacobian(&wi, -s) * 0.5;
     lower.add_diagonal(-(0.5 * lam + visc));
     (upper, lower)
 }
@@ -139,10 +220,9 @@ fn line_edge_blocks(
 /// operands are disjoint borrows of the level's fields.
 #[allow(clippy::too_many_arguments)]
 fn solve_line_scalar(
-    mesh: &UnstructuredMesh,
-    mu: f64,
+    inp: LineInputs<'_>,
     u: &mut SoaStates<NVARS>,
-    diag: &[BlockMat<NVARS>],
+    diag: &[DiagRow],
     res: &SoaStates<NVARS>,
     tridiag: &mut BlockTridiag<NVARS>,
     line_x: &mut Vec<State>,
@@ -153,11 +233,11 @@ fn solve_line_scalar(
     let m = line.len();
     tridiag.reset(m);
     for (i, &v) in line.iter().enumerate() {
-        *tridiag.diag_mut(i) = diag[v as usize];
+        *tridiag.diag_mut(i) = diag_block(&diag[v as usize]);
         *tridiag.rhs_mut(i) = res.get(v as usize);
     }
     for (i, &(ei, sign)) in les.iter().enumerate() {
-        let (upper, lower) = line_edge_blocks(mesh, u, mu, line, i, ei, sign);
+        let (upper, lower) = line_edge_blocks(inp, u, line, i, ei, sign);
         *tridiag.upper_mut(i) = upper;
         *tridiag.lower_mut(i + 1) = lower;
     }
@@ -177,10 +257,9 @@ fn solve_line_scalar(
 /// batch scratch.
 #[allow(clippy::too_many_arguments)]
 fn solve_line_batch(
-    mesh: &UnstructuredMesh,
-    mu: f64,
+    inp: LineInputs<'_>,
     u: &mut SoaStates<NVARS>,
-    diag: &[BlockMat<NVARS>],
+    diag: &[DiagRow],
     res: &SoaStates<NVARS>,
     tb: &mut TridiagBatch<NVARS>,
     line_x_batch: &mut Vec<VecBatch<NVARS>>,
@@ -196,11 +275,11 @@ fn solve_line_batch(
         let line = &lines[li as usize];
         let les = &line_edges[li as usize];
         for (i, &v) in line.iter().enumerate() {
-            tb.set_diag(i, l, &diag[v as usize]);
+            tb.set_diag(i, l, &diag_block(&diag[v as usize]));
             tb.set_rhs(i, l, &res.get(v as usize));
         }
         for (i, &(ei, sign)) in les.iter().enumerate() {
-            let (upper, lower) = line_edge_blocks(mesh, u, mu, line, i, ei, sign);
+            let (upper, lower) = line_edge_blocks(inp, u, line, i, ei, sign);
             tb.set_upper(i, l, &upper);
             tb.set_lower(i + 1, l, &lower);
         }
@@ -243,8 +322,17 @@ pub struct RansLevel {
     /// Green-Gauss velocity-gradient accumulators (nine planes,
     /// row-major `3 i + j` = `d v_i / d x_j`).
     grad: SoaStates<9>,
-    diag: Vec<BlockMat<NVARS>>,
-    lamsum: Vec<f64>,
+    /// Per-vertex primitives, a snapshot of `u` taken by
+    /// [`Self::begin_residual`] (see its phase contract).
+    prim: SoaStates<NPRIM>,
+    /// Digest of `u` when `prim` was taken (debug builds only; checked at
+    /// the entry of every phase that reads `prim`).
+    prim_stamp: u64,
+    /// Per-edge `|S|` and `|S|/length`, fixed with the mesh.
+    edge_coef: Vec<EdgeCoef>,
+    /// Resident implicit diagonal, one [`DiagRow`] per vertex; the
+    /// coalesced halo exchange adds and copies these rows in place.
+    pub(crate) diag: Vec<DiagRow>,
     tridiag: BlockTridiag<NVARS>,
     line_x: Vec<State>,
     /// Resolved dense-kernel path (params override, else env, else SIMD).
@@ -263,10 +351,6 @@ pub struct RansLevel {
     edge_nrm: Vec<[f64; 3]>,
     /// Per-block inverse control volumes of the finalisation sweep.
     vol_inv: Vec<f64>,
-    /// Persistent pack buffer for the diagonal + lamsum ghost exchange
-    /// (36 Jacobian entries + lamsum per vertex); level-owned so the
-    /// parallel sweep's coalesced exchange is allocation-free.
-    pub(crate) diag_pack: Vec<[f64; 37]>,
     /// Solver parameters.
     pub params: SolverParams,
     /// Free-stream state (BC and initialisation).
@@ -330,6 +414,17 @@ impl RansLevel {
         u.fill_with(&fs);
         let mut restricted_u = SoaStates::zeros(n);
         restricted_u.fill_with(&fs);
+        let edge_coef = mesh
+            .edges
+            .iter()
+            .map(|e| {
+                let s_norm = e.normal.norm();
+                EdgeCoef {
+                    s_norm,
+                    coef: s_norm / e.length,
+                }
+            })
+            .collect();
         RansLevel {
             lines,
             line_edges,
@@ -343,14 +438,15 @@ impl RansLevel {
             restricted_u,
             res: SoaStates::zeros(n),
             grad: SoaStates::zeros(n),
-            diag: vec![BlockMat::zero(); n],
-            lamsum: vec![0.0; n],
+            prim: SoaStates::zeros(n),
+            prim_stamp: 0,
+            edge_coef,
+            diag: vec![[0.0; DIAG_ROW]; n],
             tridiag: BlockTridiag::new(),
             line_x: Vec::new(),
             edge_avg: vec![[0.0; 3]; EDGE_BLOCK],
             edge_nrm: vec![[0.0; 3]; EDGE_BLOCK],
             vol_inv: vec![0.0; VBLOCK],
-            diag_pack: vec![[0.0; 37]; n],
             cfl_now: params.cfl_start.min(params.cfl),
             params,
             fs,
@@ -386,26 +482,65 @@ impl RansLevel {
         self.finalize_residual();
     }
 
-    /// Phase 1: clear the residual and gradient accumulators.
+    /// Phase 1: clear the residual and gradient accumulators and take the
+    /// per-vertex primitive snapshot of `u`.
+    ///
+    /// **Phase contract.** The gradient (SIMD path), flux and diagonal
+    /// phases and the line assembly of [`Self::solve_implicit`] read the
+    /// snapshot instead of `u`, so `u` must not change between this call
+    /// and theirs. It holds through the line solves because lines are
+    /// vertex-disjoint and each line's vertices are updated only after
+    /// that line is assembled and solved. Debug builds check it at the
+    /// entry of each of those phases.
     pub fn begin_residual(&mut self) {
         self.res.fill_zero();
         self.grad.fill_zero();
+        let mu = self.params.mu_laminar();
+        let Self { u, prim, .. } = self;
+        // Every slice cut to `n` so the loop runs free of bounds checks
+        // (and vectorises).
+        let n = u.len();
+        let up: [&[f64]; NVARS] = std::array::from_fn(|k| &u.plane(k)[..n]);
+        let [vx, vy, vz, p, c, h, nt, mt] = prim.planes_mut().map(|pl| &mut pl[..n]);
+        for v in 0..n {
+            let uv: State = std::array::from_fn(|k| up[k][v]);
+            let w = Primitives::of(&uv);
+            (vx[v], vy[v], vz[v]) = (w.vel.x, w.vel.y, w.vel.z);
+            (p[v], c[v], h[v], nt[v]) = (w.p, w.c, w.h, w.nt);
+            mt[v] = eddy_term(mu, uv[0], w.nt);
+        }
+        if cfg!(debug_assertions) {
+            self.prim_stamp = state_stamp(&self.u);
+        }
+    }
+
+    /// Debug builds: panic unless `u` is unchanged since
+    /// [`Self::begin_residual`] took the primitive snapshot `phase` reads.
+    #[inline]
+    fn check_primitives(&self, phase: &str) {
+        debug_assert!(
+            state_stamp(&self.u) == self.prim_stamp,
+            "{phase}: u changed since begin_residual, so the primitive cache is stale"
+        );
     }
 
     /// Phase 2: accumulate raw Green-Gauss velocity-gradient sums
     /// (not yet divided by the control volume).
     ///
     /// The SIMD path is a cache-blocked plane-major sweep: per
-    /// [`EDGE_BLOCK`] of edges it gathers the average edge velocity and
-    /// normal once, then streams each of the nine gradient planes over
-    /// the block. Every accumulator still receives its incident-edge
-    /// contributions in global edge order and each product is computed
-    /// exactly once, so the result is bit-identical to the scalar
-    /// edge-at-a-time oracle.
+    /// [`EDGE_BLOCK`] of edges it gathers the average edge velocity (from
+    /// the primitive cache) and normal once, then makes one pass per
+    /// velocity component over its three gradient planes. Every
+    /// accumulator still receives its incident-edge contributions in
+    /// global edge order and each product is computed exactly once, so the
+    /// result is bit-identical to the scalar edge-at-a-time oracle, which
+    /// derives the velocities from `u` itself.
     pub fn accumulate_gradients(&mut self) {
+        self.check_primitives("accumulate_gradients");
         let Self {
             mesh,
             u,
+            prim,
             grad,
             edge_avg,
             edge_nrm,
@@ -433,22 +568,32 @@ impl RansLevel {
                 }
             }
             KernelKind::Simd => {
+                let mut gp = grad.planes_mut();
                 for chunk in mesh.edges.chunks(EDGE_BLOCK) {
                     for (t, e) in chunk.iter().enumerate() {
-                        let va = velocity(&u.get(e.a as usize));
-                        let vb = velocity(&u.get(e.b as usize));
+                        let va = velocity_at(prim, e.a as usize);
+                        let vb = velocity_at(prim, e.b as usize);
                         let avg = (va + vb) * 0.5;
                         edge_avg[t] = [avg.x, avg.y, avg.z];
                         edge_nrm[t] = [e.normal.x, e.normal.y, e.normal.z];
                     }
+                    // One pass per velocity component over its three
+                    // gradient planes (`d v_i / d x_j`, j = x, y, z).
                     for i in 0..3 {
-                        for j in 0..3 {
-                            let p = grad.plane_mut(3 * i + j);
-                            for (t, e) in chunk.iter().enumerate() {
-                                let c = edge_avg[t][i] * edge_nrm[t][j];
-                                p[e.a as usize] += c;
-                                p[e.b as usize] -= c;
-                            }
+                        let [px, py, pz] = &mut gp[3 * i..3 * i + 3] else {
+                            unreachable!()
+                        };
+                        for (t, e) in chunk.iter().enumerate() {
+                            let (a, b) = (e.a as usize, e.b as usize);
+                            let vi = edge_avg[t][i];
+                            let n = edge_nrm[t];
+                            let (cx, cy, cz) = (vi * n[0], vi * n[1], vi * n[2]);
+                            px[a] += cx;
+                            px[b] -= cx;
+                            py[a] += cy;
+                            py[b] -= cy;
+                            pz[a] += cz;
+                            pz[b] -= cz;
                         }
                     }
                 }
@@ -504,12 +649,16 @@ impl RansLevel {
     }
 
     /// Phase 4: accumulate convective and diffusive edge fluxes into
-    /// `res = -N` (flux part). Endpoint states are gathered per edge;
-    /// residual updates scatter straight into the component planes.
+    /// `res = -N` (flux part). Endpoint states and cached primitives are
+    /// gathered per edge; residual updates scatter straight into the
+    /// component planes.
     pub fn accumulate_fluxes(&mut self) {
+        self.check_primitives("accumulate_fluxes");
         let Self {
             mesh,
             u,
+            prim,
+            edge_coef,
             res,
             params,
             flops: fc,
@@ -517,23 +666,23 @@ impl RansLevel {
         } = self;
         let mu = params.mu_laminar();
         let mut rp = res.planes_mut();
-        for e in &mesh.edges {
+        for (e, ec) in mesh.edges.iter().zip(edge_coef.iter()) {
             let (a, b) = (e.a as usize, e.b as usize);
             let s = e.normal;
             let ua = u.get(a);
             let ub = u.get(b);
-            let f = rusanov(&ua, &ub, s);
+            let (wa, mta) = primitives_at(prim, a);
+            let (wb, mtb) = primitives_at(prim, b);
+            let f = rusanov(&ua, &wa, &ub, &wb, s, ec.s_norm);
             for (k, rk) in rp.iter_mut().enumerate() {
                 // res = -N: flux out of a decreases res[a].
                 rk[a] -= f[k];
                 rk[b] += f[k];
             }
             // Edge-based diffusion (viscous + turbulence transport).
-            let coef = e.normal.norm() / e.length;
-            let me = mu_eff(mu, &ua, &ub);
-            let va = velocity(&ua);
-            let vb = velocity(&ub);
-            let dv = vb - va;
+            let coef = ec.coef;
+            let me = mu_eff(mu, mta, mtb);
+            let dv = wb.vel - wa.vel;
             let dvc = [dv.x, dv.y, dv.z];
             for k in 0..3 {
                 let d = me * coef * dvc[k];
@@ -541,13 +690,11 @@ impl RansLevel {
                 rp[1 + k][a] += d;
                 rp[1 + k][b] -= d;
             }
-            let ha = (ua[4] + pressure(&ua)) / ua[0];
-            let hb = (ub[4] + pressure(&ub)) / ub[0];
-            let de = me * coef * (hb - ha);
+            let de = me * coef * (wb.h - wa.h);
             rp[4][a] += de;
             rp[4][b] -= de;
             let mt = mu + 0.5 * (ua[5].max(0.0) + ub[5].max(0.0));
-            let dn = mt / sa::SIGMA * coef * (ub[5] / ub[0] - ua[5] / ua[0]);
+            let dn = mt / sa::SIGMA * coef * (wb.nt - wa.nt);
             rp[5][a] += dn;
             rp[5][b] -= dn;
         }
@@ -712,6 +859,7 @@ impl RansLevel {
     /// (tridiagonal systems, batch buffers) is level-owned, so the steady
     /// state allocates nothing (asserted by `tests/kernel_parity.rs`).
     pub fn solve_implicit(&mut self) {
+        self.check_primitives("solve_implicit");
         match self.kernel {
             KernelKind::Scalar => {
                 let Self {
@@ -720,6 +868,8 @@ impl RansLevel {
                     line_edges,
                     tridiag,
                     line_x,
+                    prim,
+                    edge_coef,
                     diag,
                     res,
                     u,
@@ -727,9 +877,14 @@ impl RansLevel {
                     flops: fc,
                     ..
                 } = self;
-                let mu = params.mu_laminar();
+                let inp = LineInputs {
+                    mesh,
+                    prim,
+                    edge_coef,
+                    mu: params.mu_laminar(),
+                };
                 for (line, les) in lines.iter().zip(line_edges.iter()) {
-                    solve_line_scalar(mesh, mu, u, diag, res, tridiag, line_x, fc, line, les);
+                    solve_line_scalar(inp, u, diag, res, tridiag, line_x, fc, line, les);
                 }
                 self.solve_points_scalar();
             }
@@ -749,7 +904,7 @@ impl RansLevel {
             if !self.point_eligible(v) {
                 continue;
             }
-            if let Ok(lu) = self.diag[v].lu() {
+            if let Ok(lu) = diag_block(&self.diag[v]).lu() {
                 let du = lu.solve(&self.res.get(v));
                 for (k, d) in du.iter().enumerate() {
                     *self.u.at_mut(k, v) += d;
@@ -763,7 +918,7 @@ impl RansLevel {
     fn point_eligible(&self, v: usize) -> bool {
         !(self.in_line[v]
             || !self.active[v]
-            || self.lamsum[v] <= 0.0
+            || self.diag[v][LAMSUM] <= 0.0
             || self.mesh.bc[v] == BoundaryKind::FarField)
     }
 
@@ -798,7 +953,7 @@ impl RansLevel {
         let mut mats = BlockBatch::<NVARS>::identity();
         let mut rhs = vec_batch_zero::<NVARS>();
         for (l, &v) in vs.iter().enumerate() {
-            mats.set_lane(l, &self.diag[v]);
+            mats.set_lane(l, &diag_block(&self.diag[v]));
             let r = self.res.get(v);
             for (k, row) in rhs.iter_mut().enumerate() {
                 row[l] = r[k];
@@ -829,6 +984,8 @@ impl RansLevel {
             line_order,
             tridiag_batch,
             line_x_batch,
+            prim,
+            edge_coef,
             diag,
             res,
             u,
@@ -836,7 +993,12 @@ impl RansLevel {
             flops: fc,
             ..
         } = self;
-        let mu = params.mu_laminar();
+        let inp = LineInputs {
+            mesh,
+            prim,
+            edge_coef,
+            mu: params.mu_laminar(),
+        };
         let mut i = 0;
         while i < line_order.len() {
             let len = lines[line_order[i] as usize].len();
@@ -848,8 +1010,7 @@ impl RansLevel {
                 j += 1;
             }
             solve_line_batch(
-                mesh,
-                mu,
+                inp,
                 u,
                 diag,
                 res,
@@ -871,106 +1032,98 @@ impl RansLevel {
         self.finalize_diagonal();
     }
 
-    /// Diagonal phase 1: per-edge Jacobian contributions.
+    /// Diagonal phase 1: per-edge Jacobian contributions, accumulated in
+    /// place into the resident rows (no temporary blocks).
     pub fn accumulate_diagonal(&mut self) {
+        self.check_primitives("accumulate_diagonal");
         let Self {
             mesh,
             u,
+            prim,
+            edge_coef,
             diag,
-            lamsum,
             params,
             flops: fc,
             ..
         } = self;
-        let n = mesh.nvertices();
-        for v in 0..n {
-            diag[v] = BlockMat::zero();
-            lamsum[v] = 0.0;
+        for row in diag.iter_mut() {
+            row.fill(0.0);
         }
         let mu = params.mu_laminar();
-        for e in &mesh.edges {
+        let rho = u.plane(0);
+        for (e, ec) in mesh.edges.iter().zip(edge_coef.iter()) {
             let (a, b) = (e.a as usize, e.b as usize);
             let s = e.normal;
-            let ua = u.get(a);
-            let ub = u.get(b);
-            let lam = spectral_radius(&ua, s).max(spectral_radius(&ub, s));
-            let coef = e.normal.norm() / e.length;
-            let me = mu_eff(mu, &ua, &ub);
-            let visc = me * coef / ua[0].min(ub[0]);
+            let (wa, mta) = primitives_at(prim, a);
+            let (wb, mtb) = primitives_at(prim, b);
+            let lam = spectral_radius(&wa, s, ec.s_norm).max(spectral_radius(&wb, s, ec.s_norm));
+            let me = mu_eff(mu, mta, mtb);
+            let visc = me * ec.coef / rho[a].min(rho[b]);
+            let d = 0.5 * lam + visc;
             // Row a: +0.5 A(u_a, S) + (0.5 lam + visc) I.
-            let mut ja = flux_jacobian(&ua, s) * 0.5;
-            ja.add_diagonal(0.5 * lam + visc);
-            diag[a] += ja;
+            add_half_jacobian(&mut diag[a], &wa, s, d);
             // Row b: outward normal is -S.
-            let mut jb = flux_jacobian(&ub, -s) * 0.5;
-            jb.add_diagonal(0.5 * lam + visc);
-            diag[b] += jb;
-            lamsum[a] += lam + visc;
-            lamsum[b] += lam + visc;
+            add_half_jacobian(&mut diag[b], &wb, -s, d);
+            diag[a][LAMSUM] += lam + visc;
+            diag[b][LAMSUM] += lam + visc;
         }
         fc.add(mesh.nedges() as u64 * flops::JACOBIAN_EDGE);
     }
 
     /// Diagonal phase 2: time-step and source-Jacobian terms.
     pub fn finalize_diagonal(&mut self) {
-        let n = self.nvertices();
-        for v in 0..n {
+        let Self {
+            mesh,
+            u,
+            diag,
+            cfl_now,
+            ..
+        } = self;
+        for (v, row) in diag.iter_mut().enumerate() {
             // V/dt = lamsum / CFL.
-            let vdt = self.lamsum[v] / self.cfl_now;
-            self.diag[v].add_diagonal(vdt.max(1e-300));
-            // Turbulence destruction Jacobian (stabilising, positive).
-            let rho = self.u.at(0, v);
-            let nt = (self.u.at(5, v) / rho).max(0.0);
-            let d = self.mesh.wall_distance[v].max(1e-12);
-            let dj = 2.0 * sa::CW1 * nt / (d * d) * self.mesh.volumes[v];
-            *self.diag[v].get_mut(5, 5) += dj;
-        }
-    }
-
-    /// Pack the implicit diagonal blocks + time-step accumulators into the
-    /// level-owned flat per-vertex buffer (36 Jacobian entries + lamsum)
-    /// for ghost exchange. Persistent scratch: no allocation per sweep.
-    pub fn pack_diag_scratch(&mut self) {
-        let Self {
-            diag,
-            lamsum,
-            diag_pack,
-            ..
-        } = self;
-        for (v, row) in diag_pack.iter_mut().enumerate() {
-            for r in 0..NVARS {
-                for c in 0..NVARS {
-                    row[r * NVARS + c] = diag[v].get(r, c);
-                }
+            let vdt = (row[LAMSUM] / *cfl_now).max(1e-300);
+            for i in 0..NVARS {
+                row[i * NVARS + i] += vdt;
             }
-            row[36] = lamsum[v];
+            // Turbulence destruction Jacobian (stabilising, positive).
+            let rho = u.at(0, v);
+            let nt = (u.at(5, v) / rho).max(0.0);
+            let d = mesh.wall_distance[v].max(1e-12);
+            let dj = 2.0 * sa::CW1 * nt / (d * d) * mesh.volumes[v];
+            row[5 * NVARS + 5] += dj;
         }
     }
 
-    /// Inverse of [`Self::pack_diag_scratch`].
-    pub fn unpack_diag_scratch(&mut self) {
-        let Self {
-            diag,
-            lamsum,
-            diag_pack,
-            ..
-        } = self;
-        for (v, row) in diag_pack.iter().enumerate() {
-            diag[v] = BlockMat::from_fn(|r, c| row[r * NVARS + c]);
-            lamsum[v] = row[36];
-        }
-    }
+    /// No-op, kept for callers that replay the parallel sweep's phases:
+    /// the diagonal is resident in its exchange layout, so there is
+    /// nothing to pack.
+    pub fn pack_diag_scratch(&mut self) {}
 
-    /// The diagonal exchange buffer as a mutable slice (coalesced halo
-    /// exchange rides it together with the residual planes).
+    /// No-op counterpart of [`Self::pack_diag_scratch`].
+    pub fn unpack_diag_scratch(&mut self) {}
+
+    /// The resident diagonal rows (36 Jacobian entries + lamsum per
+    /// vertex) as a mutable slice: the coalesced halo exchange rides them
+    /// together with the residual planes.
     pub fn diag_pack_mut(&mut self) -> &mut [[f64; 37]] {
-        &mut self.diag_pack
+        &mut self.diag
     }
+}
+
+/// Word-wise FNV-1a digest of the state planes (debug-build staleness
+/// check of the primitive cache).
+fn state_stamp(u: &SoaStates<NVARS>) -> u64 {
+    (0..NVARS)
+        .flat_map(|k| u.plane(k))
+        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::{self, pressure};
     use columbia_mesh::{isotropic_box_mesh, wing_mesh, WingMeshSpec};
 
     fn small_wing() -> RansLevel {
@@ -1075,6 +1228,206 @@ mod tests {
             if lvl.mesh.bc[v] == BoundaryKind::FarField {
                 assert_eq!(lvl.u.get(v), lvl.fs);
             }
+        }
+    }
+
+    /// Rank 0's local level of a jittered wing split over two ranks (so
+    /// it has ghost rows), with a perturbed, non-free-stream state: random
+    /// density, velocity and energy, some negative `rho nu_t`, and the
+    /// wall BCs applied so zero wall velocities exercise signed zeros.
+    fn perturbed_local_level() -> RansLevel {
+        use crate::parallel::{build_local_levels, partition_mesh_line_aware};
+        let mesh = wing_mesh(&WingMeshSpec {
+            ni: 16,
+            nj: 4,
+            nk: 10,
+            nk_bl: 5,
+            jitter: 0.15,
+            ..Default::default()
+        });
+        let params = SolverParams {
+            mach: 0.6,
+            ..Default::default()
+        };
+        let part = partition_mesh_line_aware(&mesh, 2, params.line_threshold);
+        let (_, mut locals) = build_local_levels(&mesh, &part, 2, params);
+        let mut lvl = locals.swap_remove(0).level;
+        assert!(lvl.active.iter().any(|&a| !a), "no ghost rows");
+        assert!(!lvl.lines.is_empty(), "no implicit lines");
+        let mut rng = columbia_rt::Pcg32::seed_from_u64(0x5eed);
+        let fs = lvl.fs;
+        for v in 0..lvl.nvertices() {
+            let mut r = || rng.gen_f64() - 0.5;
+            let rho = fs[0] * (1.0 + 0.4 * r());
+            let vel = [0.6 + 0.3 * r(), 0.2 * r(), 0.2 * r()];
+            let p = (1.0 + 0.5 * r()) / GAMMA;
+            let q2 = vel.iter().map(|x| x * x).sum::<f64>();
+            let nt = 1e-4 * (4.0 * r() + 1.0);
+            lvl.u.set(
+                v,
+                &[
+                    rho,
+                    rho * vel[0],
+                    rho * vel[1],
+                    rho * vel[2],
+                    p / (GAMMA - 1.0) + 0.5 * rho * q2,
+                    rho * nt,
+                ],
+            );
+        }
+        lvl.apply_bcs();
+        lvl
+    }
+
+    /// The pre-cache edge loop: flux residual and implicit diagonal from
+    /// the state-taking reference physics, every primitive re-derived per
+    /// edge endpoint.
+    fn reference_edge_loop(lvl: &RansLevel) -> (Vec<State>, Vec<DiagRow>) {
+        use crate::state::reference::{flux_jacobian, rusanov, spectral_radius};
+        let mu = lvl.params.mu_laminar();
+        let mt = |u: &State| eddy_term(mu, u[0], state::nu_tilde(u));
+        let n = lvl.nvertices();
+        let mut res = vec![[0.0; NVARS]; n];
+        let mut diag = vec![BlockMat::<NVARS>::zero(); n];
+        let mut lamsum = vec![0.0; n];
+        for e in &lvl.mesh.edges {
+            let (a, b) = (e.a as usize, e.b as usize);
+            let s = e.normal;
+            let (ua, ub) = (lvl.u.get(a), lvl.u.get(b));
+            let f = rusanov(&ua, &ub, s);
+            for k in 0..NVARS {
+                res[a][k] -= f[k];
+                res[b][k] += f[k];
+            }
+            let coef = e.normal.norm() / e.length;
+            let me = mu + 0.5 * (mt(&ua) + mt(&ub));
+            let dv = velocity(&ub) - velocity(&ua);
+            for (k, d) in [dv.x, dv.y, dv.z].into_iter().enumerate() {
+                res[a][1 + k] += me * coef * d;
+                res[b][1 + k] -= me * coef * d;
+            }
+            let ha = (ua[4] + pressure(&ua)) / ua[0];
+            let hb = (ub[4] + pressure(&ub)) / ub[0];
+            res[a][4] += me * coef * (hb - ha);
+            res[b][4] -= me * coef * (hb - ha);
+            let mtt = mu + 0.5 * (ua[5].max(0.0) + ub[5].max(0.0));
+            let dn = mtt / sa::SIGMA * coef * (ub[5] / ub[0] - ua[5] / ua[0]);
+            res[a][5] += dn;
+            res[b][5] -= dn;
+
+            let lam = spectral_radius(&ua, s).max(spectral_radius(&ub, s));
+            let visc = me * coef / ua[0].min(ub[0]);
+            let mut ja = flux_jacobian(&ua, s) * 0.5;
+            ja.add_diagonal(0.5 * lam + visc);
+            diag[a] += ja;
+            let mut jb = flux_jacobian(&ub, -s) * 0.5;
+            jb.add_diagonal(0.5 * lam + visc);
+            diag[b] += jb;
+            lamsum[a] += lam + visc;
+            lamsum[b] += lam + visc;
+        }
+        let rows = diag
+            .iter()
+            .zip(&lamsum)
+            .map(|(m, &l)| {
+                let mut row = [0.0; DIAG_ROW];
+                for r in 0..NVARS {
+                    for c in 0..NVARS {
+                        row[r * NVARS + c] = m.get(r, c);
+                    }
+                }
+                row[LAMSUM] = l;
+                row
+            })
+            .collect();
+        (res, rows)
+    }
+
+    fn block_bits(m: &BlockMat<NVARS>) -> Vec<u64> {
+        (0..NVARS * NVARS)
+            .map(|i| m.get(i / NVARS, i % NVARS).to_bits())
+            .collect()
+    }
+
+    /// The cached-primitive flux, diagonal and line-block kernels equal the
+    /// state-taking reference physics bit for bit, ghost rows included.
+    #[test]
+    fn primitive_cache_matches_reference_edge_loop_bits() {
+        let mut lvl = perturbed_local_level();
+        lvl.begin_residual();
+        lvl.accumulate_fluxes();
+        lvl.accumulate_diagonal();
+        let (res, diag) = reference_edge_loop(&lvl);
+        for v in 0..lvl.nvertices() {
+            for k in 0..NVARS {
+                assert_eq!(
+                    lvl.res.at(k, v).to_bits(),
+                    res[v][k].to_bits(),
+                    "flux residual at v={v} k={k}"
+                );
+            }
+            for (i, (x, y)) in lvl.diag[v].iter().zip(&diag[v]).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "diagonal row {v} entry {i}");
+            }
+        }
+
+        use crate::state::reference::{flux_jacobian, spectral_radius};
+        let mu = lvl.params.mu_laminar();
+        let inp = LineInputs {
+            mesh: &lvl.mesh,
+            prim: &lvl.prim,
+            edge_coef: &lvl.edge_coef,
+            mu,
+        };
+        let mut checked = 0;
+        for (line, les) in lvl.lines.iter().zip(&lvl.line_edges) {
+            for (i, &(ei, sign)) in les.iter().enumerate() {
+                let (upper, lower) = line_edge_blocks(inp, &lvl.u, line, i, ei, sign);
+                let e = &lvl.mesh.edges[ei as usize];
+                let s = e.normal * sign;
+                let ui = lvl.u.get(line[i] as usize);
+                let uj = lvl.u.get(line[i + 1] as usize);
+                let lam = spectral_radius(&ui, s).max(spectral_radius(&uj, s));
+                let mt = |u: &State| eddy_term(mu, u[0], state::nu_tilde(u));
+                let me = mu + 0.5 * (mt(&ui) + mt(&uj));
+                let visc = me * (e.normal.norm() / e.length) / ui[0].min(uj[0]);
+                let mut ref_upper = flux_jacobian(&uj, s) * 0.5;
+                ref_upper.add_diagonal(-(0.5 * lam + visc));
+                let mut ref_lower = flux_jacobian(&ui, -s) * 0.5;
+                ref_lower.add_diagonal(-(0.5 * lam + visc));
+                assert_eq!(block_bits(&upper), block_bits(&ref_upper), "upper {ei}");
+                assert_eq!(block_bits(&lower), block_bits(&ref_lower), "lower {ei}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    /// Debug builds catch a phase reading primitives of a state that has
+    /// changed since `begin_residual`.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn stale_primitives_are_caught_in_debug_builds() {
+        type Phase = fn(&mut RansLevel);
+        let phases: [(&str, Phase); 4] = [
+            ("accumulate_gradients", RansLevel::accumulate_gradients),
+            ("accumulate_fluxes", RansLevel::accumulate_fluxes),
+            ("accumulate_diagonal", RansLevel::accumulate_diagonal),
+            ("solve_implicit", RansLevel::solve_implicit),
+        ];
+        for (name, phase) in phases {
+            let mut lvl = small_wing();
+            lvl.begin_residual();
+            phase(&mut lvl); // fresh snapshot: no complaint
+            lvl.begin_residual();
+            *lvl.u.at_mut(1, 0) += 1e-3;
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| phase(&mut lvl)))
+                .expect_err(name);
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or("");
+            assert!(msg.contains("primitive cache is stale"), "{name}: {msg}");
         }
     }
 

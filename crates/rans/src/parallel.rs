@@ -9,8 +9,8 @@
 //!
 //! 1. gradient accumulation → add ghosts to owners → copy back,
 //! 2. flux + implicit-diagonal accumulation → one **coalesced** add per
-//!    peer carrying ghost residuals and diagonal blocks together
-//!    (`ExchangePlan::exchange_add2`) → copy diagonal blocks back,
+//!    peer carrying ghost residuals and the resident diagonal rows together
+//!    (`ExchangePlan::exchange_add2`) → copy diagonal rows back,
 //! 3. local line/point solves (lines are rank-local by construction),
 //! 4. state update → copy owners to ghosts.
 //!
@@ -22,7 +22,9 @@
 
 use crate::level::{RansLevel, SolverParams};
 use crate::state::{State, NVARS};
-use columbia_comm::{decompose, run_world, Decomposition, ExecContext, Rank, RankTrace};
+use columbia_comm::{
+    decompose, run_world, Decomposition, ExchangePlan, ExecContext, Rank, RankTrace,
+};
 use columbia_mesh::{extract_lines, Edge, UnstructuredMesh};
 use columbia_partition::{contract_lines, expand_line_partition, partition_graph, PartitionConfig};
 use columbia_rt::trace::SpanKey;
@@ -152,25 +154,42 @@ pub fn parallel_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut
 
     // Residual + implicit-diagonal ghost contributions travel in ONE
     // coalesced message per peer (6 + 37 values per exchanged vertex).
-    // `accumulate_diagonal`/`pack_diag_scratch` read only the state and
-    // edge coefficients — never the residual — so hoisting them before
+    // `accumulate_diagonal` reads only the state, its primitives and the
+    // edge coefficients — never the residual — so hoisting it before
     // `finalize_residual` leaves every accumulated value bit-identical
-    // to the per-field schedule. The pack buffer is level-owned scratch:
-    // the steady-state sweep allocates nothing.
+    // to the per-field schedule. The exchange works on the level's
+    // resident diagonal rows in place: no copies, no allocation.
     lvl.accumulate_diagonal();
-    lvl.pack_diag_scratch();
     {
-        let RansLevel { res, diag_pack, .. } = lvl;
-        plan.exchange_add2_field(rank, 12, res, &mut diag_pack[..]);
+        let RansLevel { res, diag, .. } = lvl;
+        plan.exchange_add2_field(rank, 12, res, &mut diag[..]);
     }
     lvl.finalize_residual();
     plan.exchange_copy_field(rank, 14, lvl.diag_pack_mut());
-    lvl.unpack_diag_scratch();
     lvl.finalize_diagonal();
 
     // Local solves + update, then refresh ghosts.
     lvl.solve_implicit();
     plan.exchange_copy_field(rank, 15, &mut lvl.u);
+}
+
+/// The residual phases with their ghost exchanges: gradient sums added to
+/// the owners (`tag`) and copied back (`tag + 1`), flux sums added to the
+/// owners (`tag + 2`). Leaves `res` complete on owned vertices.
+pub(crate) fn residual_with_exchanges(
+    lvl: &mut RansLevel,
+    plan: &ExchangePlan,
+    rank: &mut Rank,
+    tag: u64,
+) {
+    lvl.begin_residual();
+    lvl.accumulate_gradients();
+    plan.exchange_add_field(rank, tag, lvl.grad_mut());
+    lvl.finalize_gradients();
+    plan.exchange_copy_field(rank, tag + 1, lvl.grad_mut());
+    lvl.accumulate_fluxes();
+    plan.exchange_add_field(rank, tag + 2, &mut lvl.res);
+    lvl.finalize_residual();
 }
 
 /// Parallel residual norm (collective).
@@ -179,17 +198,18 @@ pub fn parallel_residual_rms(
     decomp: &Decomposition,
     rank: &mut Rank,
 ) -> f64 {
-    let p = rank.rank();
-    let plan = &decomp.plans[p];
+    residual_rms_tagged(local, decomp, rank, 20)
+}
+
+/// [`parallel_residual_rms`] with its three exchanges on `tag..tag + 3`.
+pub(crate) fn residual_rms_tagged(
+    local: &mut LocalLevel,
+    decomp: &Decomposition,
+    rank: &mut Rank,
+    tag: u64,
+) -> f64 {
     let lvl = &mut local.level;
-    lvl.begin_residual();
-    lvl.accumulate_gradients();
-    plan.exchange_add_field(rank, 20, lvl.grad_mut());
-    lvl.finalize_gradients();
-    plan.exchange_copy_field(rank, 21, lvl.grad_mut());
-    lvl.accumulate_fluxes();
-    plan.exchange_add_field(rank, 22, &mut lvl.res);
-    lvl.finalize_residual();
+    residual_with_exchanges(lvl, &decomp.plans[rank.rank()], rank, tag);
     let (ss, cnt) = lvl.residual_sumsq();
     let gss = rank.allreduce_sum(ss);
     let gcnt = rank.allreduce_sum(cnt as f64);

@@ -13,7 +13,10 @@
 //! flow over its local sub-levels; transfers and norms are collectives.
 
 use crate::level::{RansLevel, SolverParams};
-use crate::parallel::{build_local_levels, parallel_sweep, partition_mesh_line_aware, LocalLevel};
+use crate::parallel::{
+    build_local_levels, parallel_sweep, partition_mesh_line_aware, residual_rms_tagged,
+    residual_with_exchanges, LocalLevel,
+};
 use crate::state::{pressure, NVARS};
 use columbia_comm::{run_world, Decomposition, ExecContext, Rank, RankTrace};
 use columbia_mesh::{agglomerate_hierarchy, BoundaryKind, UnstructuredMesh};
@@ -255,14 +258,14 @@ impl ParallelMg {
             rank.enter_level(0);
             history
                 .residuals
-                .push(level_residual_rms(&mut levels[0], &decomps[0], rank, 900));
+                .push(residual_rms_tagged(&mut levels[0], &decomps[0], rank, 900));
             rank.exit_level();
             for _cycle in 0..max_cycles {
                 mg_recurse(&mut levels, decomps, transfers, cp, 0, rank);
                 rank.enter_level(0);
                 history
                     .residuals
-                    .push(level_residual_rms(&mut levels[0], &decomps[0], rank, 901));
+                    .push(residual_rms_tagged(&mut levels[0], &decomps[0], rank, 901));
                 rank.exit_level();
             }
             // No take_stats: the teardown sink hands the whole ledger back.
@@ -282,33 +285,6 @@ impl ParallelMg {
             }
         });
         (history, traces)
-    }
-}
-
-/// Residual RMS of one level (collective).
-fn level_residual_rms(
-    local: &mut LocalLevel,
-    decomp: &Decomposition,
-    rank: &mut Rank,
-    tag: u64,
-) -> f64 {
-    let plan = &decomp.plans[rank.rank()];
-    let lvl = &mut local.level;
-    lvl.begin_residual();
-    lvl.accumulate_gradients();
-    plan.exchange_add_field(rank, tag, lvl.grad_mut());
-    lvl.finalize_gradients();
-    plan.exchange_copy_field(rank, tag + 1, lvl.grad_mut());
-    lvl.accumulate_fluxes();
-    plan.exchange_add_field(rank, tag + 2, &mut lvl.res);
-    lvl.finalize_residual();
-    let (ss, cnt) = lvl.residual_sumsq();
-    let gss = rank.allreduce_sum(ss);
-    let gcnt = rank.allreduce_sum(cnt as f64);
-    if gcnt == 0.0 {
-        0.0
-    } else {
-        (gss / gcnt).sqrt()
     }
 }
 
@@ -370,19 +346,7 @@ fn parallel_restrict(
     let tag = 300 + 10 * l as u64;
 
     // Fine residual (complete at owners).
-    {
-        let fine = &mut levels[l];
-        let plan = &decomps[l].plans[p];
-        let lvl = &mut fine.level;
-        lvl.begin_residual();
-        lvl.accumulate_gradients();
-        plan.exchange_add_field(rank, tag, lvl.grad_mut());
-        lvl.finalize_gradients();
-        plan.exchange_copy_field(rank, tag + 1, lvl.grad_mut());
-        lvl.accumulate_fluxes();
-        plan.exchange_add_field(rank, tag + 2, &mut lvl.res);
-        lvl.finalize_residual();
-    }
+    residual_with_exchanges(&mut levels[l].level, &decomps[l].plans[p], rank, tag);
 
     let (fine_slice, coarse_slice) = levels.split_at_mut(l + 1);
     let fine = &fine_slice[l];
@@ -465,17 +429,7 @@ fn parallel_restrict(
     // FAS forcing: f_c = N_c(u_hat) + R(r_f) — compute N_c with zero
     // forcing via the parallel residual phases.
     coarse.level.forcing.fill_zero();
-    {
-        let lvl = &mut coarse.level;
-        lvl.begin_residual();
-        lvl.accumulate_gradients();
-        plan_c.exchange_add_field(rank, tag + 5, lvl.grad_mut());
-        lvl.finalize_gradients();
-        plan_c.exchange_copy_field(rank, tag + 6, lvl.grad_mut());
-        lvl.accumulate_fluxes();
-        plan_c.exchange_add_field(rank, tag + 7, &mut lvl.res);
-        lvl.finalize_residual();
-    }
+    residual_with_exchanges(&mut coarse.level, plan_c, rank, tag + 5);
     for c in 0..nc {
         for k in 0..NVARS {
             *coarse.level.forcing.at_mut(k, c) = -coarse.level.res.at(k, c) + acc_r[c][k];

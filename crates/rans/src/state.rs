@@ -93,16 +93,20 @@ pub fn try_sound_speed(u: &State) -> Result<f64, NonPhysicalState> {
 /// use [`try_sound_speed`].
 #[inline]
 pub fn sound_speed(u: &State) -> f64 {
+    sound_speed_of(u[0], pressure(u))
+}
+
+/// [`sound_speed`] from density and an already-derived pressure.
+#[inline]
+fn sound_speed_of(rho: f64, p: f64) -> f64 {
     debug_assert!(
         {
-            let c2 = GAMMA * pressure(u) / u[0];
+            let c2 = GAMMA * p / rho;
             c2.is_finite() && c2 > 0.0
         },
-        "nonphysical state in sound_speed: rho = {:e}, p = {:e} (the 1e-300 floor would mask it)",
-        u[0],
-        pressure(u),
+        "nonphysical state in sound_speed: rho = {rho:e}, p = {p:e} (the 1e-300 floor would mask it)",
     );
-    (GAMMA * pressure(u) / u[0]).max(1e-300).sqrt()
+    (GAMMA * p / rho).max(1e-300).sqrt()
 }
 
 /// Velocity vector.
@@ -117,12 +121,46 @@ pub fn nu_tilde(u: &State) -> f64 {
     u[5] / u[0]
 }
 
-/// Convective flux through area vector `s` (magnitude = face area).
+/// Primitive quantities of one state, derived once per vertex by
+/// [`Primitives::of`] and read by every edge that touches the vertex.
+/// Each field is the expression the per-edge physics used to re-derive,
+/// so a kernel reading a cached copy is bit-identical to one deriving it
+/// afresh.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Primitives {
+    /// Velocity `(rho u)/rho` ([`velocity`]).
+    pub vel: Vec3,
+    /// Static pressure ([`pressure`]).
+    pub p: f64,
+    /// Speed of sound ([`sound_speed`]).
+    pub c: f64,
+    /// Total enthalpy `(E + p)/rho`.
+    pub h: f64,
+    /// Turbulence working variable `(rho nu_t)/rho` ([`nu_tilde`]).
+    pub nt: f64,
+}
+
+impl Primitives {
+    /// Derive the primitives of `u`.
+    #[inline]
+    pub fn of(u: &State) -> Self {
+        let p = pressure(u);
+        Primitives {
+            vel: velocity(u),
+            p,
+            c: sound_speed_of(u[0], p),
+            h: (u[4] + p) / u[0],
+            nt: nu_tilde(u),
+        }
+    }
+}
+
+/// Convective flux of state `u` (primitives `w`) through area vector `s`
+/// (magnitude = face area).
 #[inline]
-pub fn flux(u: &State, s: Vec3) -> State {
-    let v = velocity(u);
-    let un = v.dot(s); // volume flux through the face
-    let p = pressure(u);
+pub fn flux(u: &State, w: &Primitives, s: Vec3) -> State {
+    let un = w.vel.dot(s); // volume flux through the face
+    let p = w.p;
     [
         u[0] * un,
         u[1] * un + p * s.x,
@@ -133,21 +171,29 @@ pub fn flux(u: &State, s: Vec3) -> State {
     ]
 }
 
-/// Convective spectral radius `|V.S| + c|S|`.
+/// Convective spectral radius `|V.S| + c|S|`; `s_norm` is `|S|`, which the
+/// edge loops store per edge.
 #[inline]
-pub fn spectral_radius(u: &State, s: Vec3) -> f64 {
-    velocity(u).dot(s).abs() + sound_speed(u) * s.norm()
+pub fn spectral_radius(w: &Primitives, s: Vec3, s_norm: f64) -> f64 {
+    w.vel.dot(s).abs() + w.c * s_norm
 }
 
 /// Rusanov (local Lax-Friedrichs) numerical flux from `ul` to `ur` through
-/// area vector `s` (oriented l -> r). Robust, monotone, and smooth enough
-/// to be driven hard by implicit smoothers — the appropriate model operator
-/// for a scalability reproduction.
+/// area vector `s` (oriented l -> r, `|S| = s_norm`). Robust, monotone,
+/// and smooth enough to be driven hard by implicit smoothers — the
+/// appropriate model operator for a scalability reproduction.
 #[inline]
-pub fn rusanov(ul: &State, ur: &State, s: Vec3) -> State {
-    let fl = flux(ul, s);
-    let fr = flux(ur, s);
-    let lam = spectral_radius(ul, s).max(spectral_radius(ur, s));
+pub fn rusanov(
+    ul: &State,
+    wl: &Primitives,
+    ur: &State,
+    wr: &Primitives,
+    s: Vec3,
+    s_norm: f64,
+) -> State {
+    let fl = flux(ul, wl, s);
+    let fr = flux(ur, wr, s);
+    let lam = spectral_radius(wl, s, s_norm).max(spectral_radius(wr, s, s_norm));
     let mut out = [0.0; NVARS];
     for k in 0..NVARS {
         out[k] = 0.5 * (fl[k] + fr[k]) - 0.5 * lam * (ur[k] - ul[k]);
@@ -155,54 +201,94 @@ pub fn rusanov(ul: &State, ur: &State, s: Vec3) -> State {
     out
 }
 
-/// Analytic Jacobian `dF/dU` of the convective flux through `s`.
+/// Analytic Jacobian `dF/dU` of the convective flux through `s`, as a
+/// visit of its structurally nonzero entries: `f(r, c, a_rc)` once per
+/// entry. [`flux_jacobian`] collects the entries into a block; the
+/// implicit-diagonal assembly accumulates them in place.
 ///
 /// Standard compressible-flow Jacobian extended with the passively advected
-/// sixth variable (pressure does not depend on `rho*nu_t`).
-pub fn flux_jacobian(u: &State, s: Vec3) -> BlockMat<NVARS> {
-    let rho = u[0];
-    let vel = velocity(u);
+/// sixth variable (pressure does not depend on `rho*nu_t`). Column 0 of
+/// the mass row and the cross terms between energy and turbulence are
+/// structurally zero and never visited.
+#[inline(always)]
+pub(crate) fn flux_jacobian_entries(w: &Primitives, s: Vec3, mut f: impl FnMut(usize, usize, f64)) {
+    let vel = w.vel;
     let (vx, vy, vz) = (vel.x, vel.y, vel.z);
     let un = vel.dot(s);
     let q2 = vx * vx + vy * vy + vz * vz;
     let phi = 0.5 * (GAMMA - 1.0) * q2;
-    let p = pressure(u);
-    let h = (u[4] + p) / rho; // total enthalpy
-    let nt = u[5] / rho;
+    let h = w.h;
+    let nt = w.nt;
     let g1 = GAMMA - 1.0;
 
-    let mut a = BlockMat::zero();
     // Mass row.
-    a.set(0, 1, s.x);
-    a.set(0, 2, s.y);
-    a.set(0, 3, s.z);
+    f(0, 1, s.x);
+    f(0, 2, s.y);
+    f(0, 3, s.z);
     // Momentum rows.
     let sv = [s.x, s.y, s.z];
     let vv = [vx, vy, vz];
     for i in 0..3 {
-        a.set(1 + i, 0, phi * sv[i] - vv[i] * un);
+        f(1 + i, 0, phi * sv[i] - vv[i] * un);
         for j in 0..3 {
             let mut val = vv[i] * sv[j] - g1 * vv[j] * sv[i];
             if i == j {
                 val += un;
             }
-            a.set(1 + i, 1 + j, val);
+            f(1 + i, 1 + j, val);
         }
-        a.set(1 + i, 4, g1 * sv[i]);
+        f(1 + i, 4, g1 * sv[i]);
     }
     // Energy row.
-    a.set(4, 0, un * (phi - h));
+    f(4, 0, un * (phi - h));
     for j in 0..3 {
-        a.set(4, 1 + j, h * sv[j] - g1 * vv[j] * un);
+        f(4, 1 + j, h * sv[j] - g1 * vv[j] * un);
     }
-    a.set(4, 4, GAMMA * un);
+    f(4, 4, GAMMA * un);
     // Turbulence row: F6 = (rho nu) * un.
-    a.set(5, 0, -nt * un);
+    f(5, 0, -nt * un);
     for j in 0..3 {
-        a.set(5, 1 + j, nt * sv[j]);
+        f(5, 1 + j, nt * sv[j]);
     }
-    a.set(5, 5, un);
+    f(5, 5, un);
+}
+
+/// Analytic Jacobian `dF/dU` of the convective flux through `s` (primitives
+/// `w`) as a dense block.
+#[inline]
+pub fn flux_jacobian(w: &Primitives, s: Vec3) -> BlockMat<NVARS> {
+    let mut a = BlockMat::zero();
+    flux_jacobian_entries(w, s, |r, c, v| a.set(r, c, v));
     a
+}
+
+/// State-taking forms of the edge physics: each derives the primitives
+/// afresh and calls the one primitive-taking formula. The tests use them
+/// as the per-edge reference the cached kernels must match bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{BlockMat, Primitives, State, Vec3, NVARS};
+
+    /// [`super::flux`] of `u` through `s`.
+    pub fn flux(u: &State, s: Vec3) -> State {
+        super::flux(u, &Primitives::of(u), s)
+    }
+
+    /// [`super::spectral_radius`] of `u` through `s`.
+    pub fn spectral_radius(u: &State, s: Vec3) -> f64 {
+        super::spectral_radius(&Primitives::of(u), s, s.norm())
+    }
+
+    /// [`super::rusanov`] from `ul` to `ur` through `s`.
+    pub fn rusanov(ul: &State, ur: &State, s: Vec3) -> State {
+        let (wl, wr) = (Primitives::of(ul), Primitives::of(ur));
+        super::rusanov(ul, &wl, ur, &wr, s, s.norm())
+    }
+
+    /// [`super::flux_jacobian`] of `u` through `s`.
+    pub fn flux_jacobian(u: &State, s: Vec3) -> BlockMat<NVARS> {
+        super::flux_jacobian(&Primitives::of(u), s)
+    }
 }
 
 /// Free-stream conservative state for Mach number `mach` at `alpha` radians
@@ -227,6 +313,7 @@ pub fn fv1(nu_t: f64, nu_laminar: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{flux, flux_jacobian, rusanov, spectral_radius};
     use super::*;
 
     fn fs() -> State {
