@@ -3,7 +3,7 @@
 //! hierarchy. The paper argues intra-level balance matters more than
 //! inter-level transfer locality.
 
-use columbia_bench::header;
+use columbia_bench::{header, majority_partition};
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_partition::{match_levels, partition_graph, PartitionConfig, PartitionQuality};
 use columbia_rans::{RansSolver, SolverParams};
@@ -40,19 +40,7 @@ fn main() {
     let qi = PartitionQuality::measure(&coarse.mesh.dual_graph(), &matched, k);
 
     // Nested: coarse vertex inherits the majority partition of its children.
-    let mut votes = vec![std::collections::HashMap::<u32, f64>::new(); coarse.nvertices()];
-    for (v, &c) in map.iter().enumerate() {
-        *votes[c as usize].entry(fine_part[v]).or_insert(0.0) += fine.mesh.volumes[v];
-    }
-    let nested: Vec<u32> = votes
-        .iter()
-        .map(|m| {
-            m.iter()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(&p, _)| p)
-                .unwrap_or(0)
-        })
-        .collect();
+    let nested = majority_partition(map, &fine_part, &fine.mesh.volumes, coarse.nvertices());
     let qn = PartitionQuality::measure(&coarse.mesh.dual_graph(), &nested, k);
     let aligned_nested: f64 = map
         .iter()

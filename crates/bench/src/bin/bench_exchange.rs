@@ -6,9 +6,9 @@
 //!
 //! Two sections:
 //!
-//! * **microbench** — 2-rank ping-pong `exchange_copy` at several payload
-//!   sizes, pooled vs seed (`_ref`), isolating the per-message allocation
-//!   and packing cost;
+//! * **microbench** — 2-rank ping-pong `exchange_copy_field` at several
+//!   payload sizes, pooled vs seed (`_ref`), isolating the per-message
+//!   allocation and packing cost;
 //! * **macrobench** — 8 ranks exchanging the RANS smoothing sweep's
 //!   field sequence (gradient accumulate + copy at width 9, residual 6 +
 //!   diagonal 37 coalesced, diagonal 37 + state 6 copies coalesced) over
@@ -74,10 +74,10 @@ impl Fields {
 /// dependency-free trailing copies of diagonal + state ride together),
 /// zero steady-state allocations.
 fn pooled_sweep(plan: &ExchangePlan, rank: &mut Rank, f: &mut Fields) {
-    plan.exchange_add::<9>(rank, 10, &mut f.grad);
-    plan.exchange_copy::<9>(rank, 11, &mut f.grad);
-    plan.exchange_add2::<6, 37>(rank, 12, &mut f.res, &mut f.diag);
-    plan.exchange_copy2::<37, 6>(rank, 14, &mut f.diag, &mut f.u);
+    plan.exchange_add_field(rank, 10, &mut f.grad[..]);
+    plan.exchange_copy_field(rank, 11, &mut f.grad[..]);
+    plan.exchange_add2_field(rank, 12, &mut f.res[..], &mut f.diag[..]);
+    plan.exchange_copy2_field(rank, 14, &mut f.diag[..], &mut f.u[..]);
 }
 
 /// The same sequence on the seed path: one message per peer per field
@@ -135,7 +135,7 @@ fn run_micro(entries: usize, pooled: bool) -> f64 {
                 // the pool is hot from here on either way.
             }
             if pooled {
-                plan.exchange_copy::<6>(rank, 7, &mut data);
+                plan.exchange_copy_field(rank, 7, &mut data[..]);
             } else {
                 plan.exchange_copy_ref::<6>(rank, 7, &mut data);
             }

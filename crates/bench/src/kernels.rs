@@ -400,12 +400,15 @@ pub fn sweep_convert_at_boundary(
     }
 }
 
-/// Bytes one smoothing sweep touches: the four state fields + gradients
-/// + diagonal blocks + lamsum per vertex, plus the edge list.
+/// Bytes one smoothing sweep touches: per vertex the four state fields,
+/// the nine gradient planes, the 36 diagonal entries + lamsum and the
+/// eight cached primitive planes; per edge the endpoints and normal
+/// (40 B) plus the stored `|S|` and `|S|/length` (16 B).
 pub fn sweep_working_set_bytes(lvl: &RansLevel) -> u64 {
     let nv = lvl.mesh.nvertices() as u64;
     let ne = lvl.mesh.nedges() as u64;
-    nv * ((4 * NVARS as u64 + 9 + NVARS as u64 * NVARS as u64 + 1) * 8) + ne * 40
+    let per_vertex = 4 * NVARS as u64 + 9 + NVARS as u64 * NVARS as u64 + 1 + 8;
+    nv * per_vertex * 8 + ne * (40 + 16)
 }
 
 /// Nominal FLOPs of one resident pass, measured off the level's own

@@ -23,6 +23,7 @@ use columbia_machine::{paper_cart3d_25m, paper_nsu3d_72m, CycleProfile};
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::{RansSolver, SolverParams};
+use std::collections::BTreeMap;
 
 /// Parse the common `--measured` flag.
 pub fn use_measured() -> bool {
@@ -122,9 +123,48 @@ pub fn header(fig: &str, what: &str) {
     println!("==========================================================================");
 }
 
+/// Nested multigrid partitioning: each of the `ncoarse` coarse vertices
+/// takes the partition holding the largest `weights` sum of its fine
+/// children (`fine_to_coarse[v]` is fine vertex `v`'s coarse vertex).
+/// Tied weights go to the lowest partition id, so the result does not
+/// depend on iteration order. A coarse vertex with no children gets 0.
+pub fn majority_partition(
+    fine_to_coarse: &[u32],
+    fine_part: &[u32],
+    weights: &[f64],
+    ncoarse: usize,
+) -> Vec<u32> {
+    let mut votes = vec![BTreeMap::<u32, f64>::new(); ncoarse];
+    for (v, &c) in fine_to_coarse.iter().enumerate() {
+        *votes[c as usize].entry(fine_part[v]).or_insert(0.0) += weights[v];
+    }
+    votes
+        .iter()
+        .map(|m| {
+            m.iter()
+                .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
+                .map_or(0, |(&p, _)| p)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn majority_partition_breaks_ties_on_the_lowest_id() {
+        // Coarse 0: parts 3 and 1 tie at 2.0. Coarse 1: part 2 wins 3.0
+        // to 1.0. Coarse 2 has no children.
+        let map = [0, 0, 0, 1, 1];
+        let part = [3, 1, 1, 0, 2];
+        let w = [2.0, 1.0, 1.0, 1.0, 3.0];
+        assert_eq!(majority_partition(&map, &part, &w, 3), vec![1, 2, 0]);
+        // The tie resolves the same way whichever child comes first.
+        let part = [1, 3, 3, 0, 2];
+        let w = [2.0, 1.0, 1.0, 1.0, 3.0];
+        assert_eq!(majority_partition(&map, &part, &w, 3), vec![1, 2, 0]);
+    }
 
     #[test]
     fn both_profile_flavours_validate() {

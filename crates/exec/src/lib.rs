@@ -9,9 +9,11 @@
 //! driver per workload instead of per-regime driver forks.
 //!
 //! Every parallel driver (`columbia_comm::run_world`, `mg::fas_cycle` /
-//! `mg::solve_to_tolerance`, `rans::parallel`, `rans::parallel_mg`,
-//! `euler::parallel`, `core::database` fills) takes `&mut ExecContext` and
-//! honors whichever capabilities are switched on:
+//! `mg::solve_to_tolerance` for the Euler multigrid, `rans::parallel`,
+//! `rans::parallel_mg`, `euler::parallel`, `core::database` fills) takes
+//! `&mut ExecContext` and honors whichever capabilities are switched on.
+//! `rans::RansSolver` is `rans::parallel_mg`'s cycle on a one-rank world
+//! under the default context:
 //!
 //! * **faults** — an optional seeded [`FaultPlan`] the comm runtime
 //!   consults per message/barrier occurrence. `None` (the default) is the

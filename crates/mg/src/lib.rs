@@ -1,11 +1,14 @@
 //! Generic nonlinear (FAS) multigrid machinery.
 //!
-//! Both flow solvers — the NSU3D-style RANS solver and the Cart3D-style
-//! Euler solver — drive their level hierarchies with the same cycling
-//! logic: several smoothing steps on the fine level, transfer to the next
-//! coarser level (restriction of state + residual into a FAS forcing
-//! function), recursion, prolongation of the coarse correction, and
-//! optional post-smoothing. The W-cycle re-visits coarse levels twice per
+//! Both flow solvers cycle their level hierarchies the same way: several
+//! smoothing steps on the fine level, transfer to the next coarser level
+//! (restriction of state + residual into a FAS forcing function),
+//! recursion, prolongation of the coarse correction, and optional
+//! post-smoothing. The Cart3D-style Euler solver drives its levels through
+//! [`fas_cycle`] here. The NSU3D-style RANS solver runs the same cycle as
+//! its SPMD driver (`rans::parallel_mg`) on every rank count, one rank
+//! included, and shares [`CycleParams`] and [`ConvergenceHistory`] from
+//! this crate. The W-cycle re-visits coarse levels twice per
 //! entry (paper Figure 4(b)): the coarsest of `L` levels is visited
 //! `2^(L-1)` times per fine-grid cycle, which is exactly what erodes
 //! scalability at high CPU counts.

@@ -10,15 +10,18 @@
 //! 1. gradient accumulation → add ghosts to owners → copy back,
 //! 2. flux + implicit-diagonal accumulation → one **coalesced** add per
 //!    peer carrying ghost residuals and the resident diagonal rows together
-//!    (`ExchangePlan::exchange_add2`) → copy diagonal rows back,
+//!    (`ExchangePlan::exchange_add2_field`) → copy diagonal rows back,
 //! 3. local line/point solves (lines are rank-local by construction),
 //! 4. state update → copy owners to ghosts.
 //!
 //! All exchange payloads are recycled through the rank's buffer pool, so
 //! the steady-state sweep performs no payload allocations.
 //!
-//! The result is bitwise-equivalent to the serial solver up to floating
-//! point summation order; tests check parity to tight tolerances.
+//! At one rank there are no ghosts or peers and every exchange is empty,
+//! so a sweep is bit-identical to `RansLevel::smooth_sweep`; `RansSolver`
+//! runs its sweeps this way on a one-rank world. At more ranks the cut
+//! edges are summed in a different order, so states agree with one rank
+//! to tight tolerances, not bitwise.
 
 use crate::level::{RansLevel, SolverParams};
 use crate::state::{State, NVARS};
@@ -140,10 +143,12 @@ pub fn build_local_levels(
 
 /// One parallel smoothing sweep on a local level.
 pub fn parallel_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut Rank) {
-    let p = rank.rank();
-    let plan = &decomp.plans[p];
-    let lvl = &mut local.level;
+    sweep_with_exchanges(&mut local.level, &decomp.plans[rank.rank()], rank);
+}
 
+/// The sweep phases of [`parallel_sweep`] with their ghost exchanges on
+/// tags 10–15.
+pub(crate) fn sweep_with_exchanges(lvl: &mut RansLevel, plan: &ExchangePlan, rank: &mut Rank) {
     // Residual with exchanges.
     lvl.begin_residual();
     lvl.accumulate_gradients();
@@ -198,17 +203,16 @@ pub fn parallel_residual_rms(
     decomp: &Decomposition,
     rank: &mut Rank,
 ) -> f64 {
-    residual_rms_tagged(local, decomp, rank, 20)
+    residual_rms_tagged(&mut local.level, decomp, rank, 20)
 }
 
 /// [`parallel_residual_rms`] with its three exchanges on `tag..tag + 3`.
 pub(crate) fn residual_rms_tagged(
-    local: &mut LocalLevel,
+    lvl: &mut RansLevel,
     decomp: &Decomposition,
     rank: &mut Rank,
     tag: u64,
 ) -> f64 {
-    let lvl = &mut local.level;
     residual_with_exchanges(lvl, &decomp.plans[rank.rank()], rank, tag);
     let (ss, cnt) = lvl.residual_sumsq();
     let gss = rank.allreduce_sum(ss);

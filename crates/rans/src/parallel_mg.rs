@@ -11,11 +11,12 @@
 //!
 //! The implementation is SPMD: every rank runs the same W-cycle control
 //! flow over its local sub-levels; transfers and norms are collectives.
+//! It is the only RANS multigrid driver: `RansSolver` runs it on one rank.
 
 use crate::level::{RansLevel, SolverParams};
 use crate::parallel::{
-    build_local_levels, parallel_sweep, partition_mesh_line_aware, residual_rms_tagged,
-    residual_with_exchanges, LocalLevel,
+    build_local_levels, partition_mesh_line_aware, residual_rms_tagged, residual_with_exchanges,
+    sweep_with_exchanges, LocalLevel,
 };
 use crate::state::{pressure, NVARS};
 use columbia_comm::{run_world, Decomposition, ExecContext, Rank, RankTrace};
@@ -52,6 +53,23 @@ pub struct TransferSchedule {
 }
 
 impl TransferSchedule {
+    /// `rank`'s same-rank fine→coarse map, indexed by fine-local vertex
+    /// (local indices on both sides). Only defined when every one of the
+    /// rank's `n_fine` owned fine vertices transfers locally, as at one
+    /// part.
+    pub(crate) fn local_map(&self, rank: usize, n_fine: usize) -> Vec<u32> {
+        assert_eq!(
+            self.local[rank].len(),
+            n_fine,
+            "rank {rank} has remote transfers"
+        );
+        let mut map = vec![0; n_fine];
+        for pr in &self.local[rank] {
+            map[pr.fine_local as usize] = pr.coarse_local;
+        }
+        map
+    }
+
     /// Fraction of fine vertices whose transfer crosses ranks.
     pub fn nonlocal_fraction(&self) -> f64 {
         let local: usize = self.local.iter().map(|v| v.len()).sum();
@@ -124,11 +142,7 @@ impl ParallelMg {
         let mut decomps = Vec::with_capacity(nlev);
         let mut locals = Vec::with_capacity(nlev);
         for l in 0..nlev {
-            let (d, mut ls) = build_local_levels(meshes[l], &parts[l], nparts, params);
-            // Attach the global->coarse map so ranks can see level sizes.
-            for lr in ls.iter_mut() {
-                lr.level.to_coarse = None;
-            }
+            let (d, ls) = build_local_levels(meshes[l], &parts[l], nparts, params);
             decomps.push(d);
             locals.push(ls);
         }
@@ -232,11 +246,11 @@ impl ParallelMg {
     ) -> (ConvergenceHistory, Vec<RankTrace>) {
         let nparts = self.nparts;
         // Move each rank's column of levels into a per-rank bundle.
-        let mut bundles: Vec<Option<Vec<LocalLevel>>> =
+        let mut bundles: Vec<Option<Vec<RansLevel>>> =
             (0..nparts).map(|_| Some(Vec::new())).collect();
         for lvl in self.locals.drain(..) {
             for (r, local) in lvl.into_iter().enumerate() {
-                bundles[r].as_mut().unwrap().push(local);
+                bundles[r].as_mut().unwrap().push(local.level);
             }
         }
         let bundles = Mutex::new(bundles);
@@ -249,27 +263,21 @@ impl ParallelMg {
                 .expect("bundle already taken");
             for (l, lv) in levels.iter_mut().enumerate() {
                 rank.enter_level(l);
-                lv.level.cfl_now = cfl;
-                lv.level.apply_bcs();
-                decomps[l].plans[rank.rank()].exchange_copy_field(rank, 1, &mut lv.level.u);
-                rank.exit_level();
-            }
-            let mut history = ConvergenceHistory::default();
-            rank.enter_level(0);
-            history
-                .residuals
-                .push(residual_rms_tagged(&mut levels[0], &decomps[0], rank, 900));
-            rank.exit_level();
-            for _cycle in 0..max_cycles {
-                mg_recurse(&mut levels, decomps, transfers, cp, 0, rank);
-                rank.enter_level(0);
-                history
-                    .residuals
-                    .push(residual_rms_tagged(&mut levels[0], &decomps[0], rank, 901));
+                lv.cfl_now = cfl;
+                lv.apply_bcs();
+                decomps[l].plans[rank.rank()].exchange_copy_field(rank, 1, &mut lv.u);
                 rank.exit_level();
             }
             // No take_stats: the teardown sink hands the whole ledger back.
-            history
+            run_cycles(
+                &mut levels,
+                decomps,
+                transfers,
+                cp,
+                max_cycles,
+                rank,
+                |_, _| true,
+            )
         });
 
         let history = results.into_iter().next_back().unwrap_or_default();
@@ -288,9 +296,44 @@ impl ParallelMg {
     }
 }
 
+/// The per-rank cycle loop of both RANS drivers ([`ParallelMg::solve`]
+/// and [`crate::RansSolver`]): the fine residual norm (tag 900), then up
+/// to `max_cycles` FAS cycles, each followed by the fine residual norm
+/// (tag 901). Before every cycle `before_cycle` sees the levels and the
+/// last residual; it may adjust the CFL, and returning `false` stops the
+/// loop. Returns the residual history (identical on every rank).
+pub(crate) fn run_cycles(
+    levels: &mut [RansLevel],
+    decomps: &[Decomposition],
+    transfers: &[TransferSchedule],
+    cp: &CycleParams,
+    max_cycles: usize,
+    rank: &mut Rank,
+    mut before_cycle: impl FnMut(&mut [RansLevel], f64) -> bool,
+) -> ConvergenceHistory {
+    let mut history = ConvergenceHistory::default();
+    rank.enter_level(0);
+    history
+        .residuals
+        .push(residual_rms_tagged(&mut levels[0], &decomps[0], rank, 900));
+    rank.exit_level();
+    for _cycle in 0..max_cycles {
+        if !before_cycle(levels, *history.residuals.last().unwrap()) {
+            break;
+        }
+        mg_recurse(levels, decomps, transfers, cp, 0, rank);
+        rank.enter_level(0);
+        history
+            .residuals
+            .push(residual_rms_tagged(&mut levels[0], &decomps[0], rank, 901));
+        rank.exit_level();
+    }
+    history
+}
+
 /// Recursive SPMD FAS cycle over the rank's local levels.
-fn mg_recurse(
-    levels: &mut [LocalLevel],
+pub(crate) fn mg_recurse(
+    levels: &mut [RansLevel],
     decomps: &[Decomposition],
     transfers: &[TransferSchedule],
     cp: &CycleParams,
@@ -301,15 +344,14 @@ fn mg_recurse(
     if l == last {
         rank.enter_level(l);
         for _ in 0..cp.coarse_sweeps {
-            let (head, _) = levels.split_at_mut(l + 1);
-            parallel_sweep(&mut head[l], &decomps[l], rank);
+            sweep_with_exchanges(&mut levels[l], &decomps[l].plans[rank.rank()], rank);
         }
         rank.exit_level();
         return;
     }
     rank.enter_level(l);
     for _ in 0..cp.pre_sweeps {
-        parallel_sweep(&mut levels[l], &decomps[l], rank);
+        sweep_with_exchanges(&mut levels[l], &decomps[l].plans[rank.rank()], rank);
     }
     rank.exit_level();
     // Intergrid transfers are charged to the coarse level of the pair —
@@ -329,14 +371,14 @@ fn mg_recurse(
     rank.exit_level();
     rank.enter_level(l);
     for _ in 0..cp.post_sweeps {
-        parallel_sweep(&mut levels[l], &decomps[l], rank);
+        sweep_with_exchanges(&mut levels[l], &decomps[l].plans[rank.rank()], rank);
     }
     rank.exit_level();
 }
 
 /// Distributed FAS restriction `l -> l+1`.
 fn parallel_restrict(
-    levels: &mut [LocalLevel],
+    levels: &mut [RansLevel],
     decomps: &[Decomposition],
     transfers: &[TransferSchedule],
     l: usize,
@@ -346,7 +388,7 @@ fn parallel_restrict(
     let tag = 300 + 10 * l as u64;
 
     // Fine residual (complete at owners).
-    residual_with_exchanges(&mut levels[l].level, &decomps[l].plans[p], rank, tag);
+    residual_with_exchanges(&mut levels[l], &decomps[l].plans[p], rank, tag);
 
     let (fine_slice, coarse_slice) = levels.split_at_mut(l + 1);
     let fine = &fine_slice[l];
@@ -354,7 +396,7 @@ fn parallel_restrict(
     let sched = &transfers[l];
 
     // Accumulators over the coarse rank's local vertices.
-    let nc = coarse.level.nvertices();
+    let nc = coarse.nvertices();
     let mut acc_u = vec![[0.0f64; NVARS]; nc];
     let mut acc_r = vec![[0.0f64; NVARS]; nc];
 
@@ -366,12 +408,12 @@ fn parallel_restrict(
         let mut buf = rank.buffer(*peer, RESTRICT_WIDTH.max(NVARS) * pairs.len());
         for pr in pairs {
             let v = pr.fine_local as usize;
-            let vol = fine.level.mesh.volumes[v];
+            let vol = fine.mesh.volumes[v];
             for k in 0..NVARS {
-                buf.push(vol * fine.level.u.at(k, v));
+                buf.push(vol * fine.u.at(k, v));
             }
             for k in 0..NVARS {
-                buf.push(fine.level.res.at(k, v));
+                buf.push(fine.res.at(k, v));
             }
             buf.push(vol);
         }
@@ -381,10 +423,10 @@ fn parallel_restrict(
     for pr in &sched.local[p] {
         let v = pr.fine_local as usize;
         let c = pr.coarse_local as usize;
-        let vol = fine.level.mesh.volumes[v];
+        let vol = fine.mesh.volumes[v];
         for k in 0..NVARS {
-            acc_u[c][k] += vol * fine.level.u.at(k, v);
-            acc_r[c][k] += fine.level.res.at(k, v);
+            acc_u[c][k] += vol * fine.u.at(k, v);
+            acc_r[c][k] += fine.res.at(k, v);
         }
     }
     // Receive remote contributions.
@@ -410,37 +452,39 @@ fn parallel_restrict(
     // Coarse state = volume-weighted average (coarse volume is the exact
     // sum of child volumes by construction of the agglomeration).
     for c in 0..nc {
-        if !coarse.level.active[c] {
+        if !coarse.active[c] {
             continue;
         }
-        let iv = 1.0 / coarse.level.mesh.volumes[c];
+        let iv = 1.0 / coarse.mesh.volumes[c];
         for k in 0..NVARS {
-            *coarse.level.u.at_mut(k, c) = acc_u[c][k] * iv;
+            *coarse.u.at_mut(k, c) = acc_u[c][k] * iv;
         }
     }
-    coarse.level.apply_bcs();
+    coarse.apply_bcs();
     let plan_c = &decomps[l + 1].plans[p];
-    plan_c.exchange_copy_field(rank, tag + 4, &mut coarse.level.u);
+    plan_c.exchange_copy_field(rank, tag + 4, &mut coarse.u);
     let RansLevel {
         restricted_u, u, ..
-    } = &mut coarse.level;
+    } = coarse;
     restricted_u.copy_from(u);
 
     // FAS forcing: f_c = N_c(u_hat) + R(r_f) — compute N_c with zero
     // forcing via the parallel residual phases.
-    coarse.level.forcing.fill_zero();
-    residual_with_exchanges(&mut coarse.level, plan_c, rank, tag + 5);
+    coarse.forcing.fill_zero();
+    residual_with_exchanges(coarse, plan_c, rank, tag + 5);
     for c in 0..nc {
         for k in 0..NVARS {
-            *coarse.level.forcing.at_mut(k, c) = -coarse.level.res.at(k, c) + acc_r[c][k];
+            *coarse.forcing.at_mut(k, c) = -coarse.res.at(k, c) + acc_r[c][k];
         }
     }
 }
 
-/// Distributed FAS prolongation `l+1 -> l` with the same damping +
-/// positivity backtracking as the serial driver.
+/// Distributed FAS prolongation `l+1 -> l`: the damped coarse correction
+/// (`prolong_relax`), halved up to six times until density and pressure
+/// stay within a factor of 2 of the current state (positivity
+/// backtracking).
 fn parallel_prolong(
-    levels: &mut [LocalLevel],
+    levels: &mut [RansLevel],
     decomps: &[Decomposition],
     transfers: &[TransferSchedule],
     l: usize,
@@ -457,7 +501,7 @@ fn parallel_prolong(
     let corr_of = |c: usize| -> [f64; NVARS] {
         let mut out = [0.0; NVARS];
         for k in 0..NVARS {
-            out[k] = coarse.level.u.at(k, c) - coarse.level.restricted_u.at(k, c);
+            out[k] = coarse.u.at(k, c) - coarse.restricted_u.at(k, c);
         }
         out
     };
@@ -474,7 +518,7 @@ fn parallel_prolong(
         }
         rank.send(*peer, tag, buf);
     }
-    let relax = fine.level.params.prolong_relax;
+    let relax = fine.params.prolong_relax;
     let apply = |lvl: &mut RansLevel, v: usize, corr: &[f64; NVARS]| {
         if lvl.mesh.bc[v] == BoundaryKind::FarField {
             return;
@@ -504,7 +548,7 @@ fn parallel_prolong(
     };
     for pr in &sched.local[p] {
         let corr = corr_of(pr.coarse_local as usize);
-        apply(&mut fine.level, pr.fine_local as usize, &corr);
+        apply(fine, pr.fine_local as usize, &corr);
     }
     for (peer, pairs) in &sched.sends[p] {
         let buf = rank.recv(*peer, tag);
@@ -516,12 +560,12 @@ fn parallel_prolong(
         for (i, pr) in pairs.iter().enumerate() {
             let mut corr = [0.0; NVARS];
             corr.copy_from_slice(&buf[i * NVARS..(i + 1) * NVARS]);
-            apply(&mut fine.level, pr.fine_local as usize, &corr);
+            apply(fine, pr.fine_local as usize, &corr);
         }
         rank.recycle(*peer, buf);
     }
-    fine.level.apply_bcs();
-    decomps[l].plans[p].exchange_copy_field(rank, tag + 1, &mut fine.level.u);
+    fine.apply_bcs();
+    decomps[l].plans[p].exchange_copy_field(rank, tag + 1, &mut fine.u);
 }
 
 #[cfg(test)]
@@ -568,13 +612,17 @@ mod tests {
         assert!(fr.iter().all(|&f| f < 0.7), "nonlocal fractions {fr:?}");
     }
 
+    /// `RansSolver` (the one-rank hierarchy) against a three-rank
+    /// hierarchy: each level is partitioned and its edges and transfers
+    /// summed in a different order, so the histories agree to 1e-6, not
+    /// bitwise.
     #[test]
     fn parallel_multigrid_matches_serial_history() {
         let m = mesh();
         let cp = CycleParams::default();
         let cfl = 4.0;
 
-        // Serial reference at fixed CFL.
+        // One-rank reference at fixed CFL.
         let mut serial = RansSolver::new(m.clone(), params(), 3);
         serial.set_cfl(cfl);
         let sh = serial.solve_fixed_cfl(&cp, 0.0, 3);

@@ -1,107 +1,24 @@
-//! The multigrid solver driver: hierarchy construction and FAS transfers.
+//! The NSU3D-style solver driver: the one-rank case of the distributed
+//! multigrid ([`ParallelMg`]), so one SPMD cycle, restriction and
+//! prolongation serve every rank count.
 
 use crate::level::RansLevel;
 pub use crate::level::SolverParams;
-use crate::state::NVARS;
-use columbia_comm::ExecContext;
-use columbia_mesh::{agglomerate_hierarchy, BoundaryKind, UnstructuredMesh};
-use columbia_mg::{fas_cycle, solve_to_tolerance, ConvergenceHistory, CycleParams, MultigridLevel};
-
-impl MultigridLevel for RansLevel {
-    fn smooth(&mut self, sweeps: usize) {
-        for _ in 0..sweeps {
-            self.smooth_sweep();
-        }
-    }
-
-    fn residual_norm(&mut self) -> f64 {
-        self.residual_rms()
-    }
-
-    fn restrict_into(&mut self, coarse: &mut Self) {
-        let map = self
-            .to_coarse
-            .clone()
-            .expect("level has no coarse map; cannot restrict");
-        self.compute_residual();
-        let nc = coarse.nvertices();
-        let mut acc = vec![[0.0f64; NVARS]; nc];
-        let mut racc = vec![[0.0f64; NVARS]; nc];
-        for (v, &c) in map.iter().enumerate() {
-            let vol = self.mesh.volumes[v];
-            let c = c as usize;
-            for k in 0..NVARS {
-                acc[c][k] += vol * self.u.at(k, v);
-                racc[c][k] += self.res.at(k, v);
-            }
-        }
-        for c in 0..nc {
-            let iv = 1.0 / coarse.mesh.volumes[c];
-            for k in 0..NVARS {
-                *coarse.u.at_mut(k, c) = acc[c][k] * iv;
-            }
-        }
-        // The coarse state must satisfy the same strong BCs, and the stored
-        // restricted state must match it so the correction is consistent.
-        coarse.apply_bcs();
-        coarse.restricted_u.copy_from(&coarse.u);
-        // FAS forcing: f_c = N_c(u_hat) + R(r_fine); compute N_c with zero
-        // forcing first.
-        coarse.forcing.fill_zero();
-        coarse.compute_residual(); // res = -N_c(u_hat) (BC rows zeroed)
-        for c in 0..nc {
-            for k in 0..NVARS {
-                *coarse.forcing.at_mut(k, c) = -coarse.res.at(k, c) + racc[c][k];
-            }
-        }
-    }
-
-    fn prolong_from(&mut self, coarse: &Self) {
-        let map = self
-            .to_coarse
-            .as_ref()
-            .expect("level has no coarse map; cannot prolongate");
-        let relax = self.params.prolong_relax;
-        for (v, &c) in map.iter().enumerate() {
-            if self.mesh.bc[v] == BoundaryKind::FarField {
-                continue;
-            }
-            let c = c as usize;
-            let mut corr = [0.0f64; NVARS];
-            for k in 0..NVARS {
-                corr[k] = relax * (coarse.u.at(k, c) - coarse.restricted_u.at(k, c));
-            }
-            // Positivity backtracking: halve the correction until density
-            // and pressure stay within a factor of 2 of the current state.
-            let uv = self.u.get(v);
-            let mut alpha = 1.0;
-            for _ in 0..6 {
-                let mut trial = uv;
-                for k in 0..NVARS {
-                    trial[k] += alpha * corr[k];
-                }
-                let rho_ok = trial[0] > 0.5 * uv[0] && trial[0] < 2.0 * uv[0];
-                let p_old = crate::state::pressure(&uv);
-                let p_new = crate::state::pressure(&trial);
-                let p_ok = p_new > 0.5 * p_old && p_new < 2.0 * p_old;
-                if rho_ok && p_ok {
-                    break;
-                }
-                alpha *= 0.5;
-            }
-            for k in 0..NVARS {
-                *self.u.at_mut(k, v) += alpha * corr[k];
-            }
-        }
-        self.apply_bcs();
-    }
-}
+use crate::parallel_mg::{mg_recurse, run_cycles, ParallelMg, TransferSchedule};
+use columbia_comm::{run_world, Decomposition, ExecContext, Rank};
+use columbia_mesh::UnstructuredMesh;
+use columbia_mg::{ConvergenceHistory, CycleParams};
+use std::sync::Mutex;
 
 /// The NSU3D-style solver: an agglomeration multigrid hierarchy over an
-/// unstructured mesh.
+/// unstructured mesh, run as a one-rank world.
 pub struct RansSolver {
     /// Levels, finest first.
     pub levels: Vec<RansLevel>,
+    /// Per level: the one-part decomposition (no ghosts, no peers).
+    decomps: Vec<Decomposition>,
+    /// Per level pair `l -> l+1`: the one-rank transfer schedule.
+    transfers: Vec<TransferSchedule>,
 }
 
 impl RansSolver {
@@ -109,16 +26,23 @@ impl RansSolver {
     /// stops early if a level would drop below ~10 vertices).
     pub fn new(mesh: UnstructuredMesh, params: SolverParams, nlevels: usize) -> Self {
         assert!(nlevels >= 1);
-        let steps = agglomerate_hierarchy(&mesh, nlevels, 10);
-        let mut levels = Vec::with_capacity(steps.len() + 1);
-        let mut fine = RansLevel::new(mesh, params);
-        for step in &steps {
-            fine.to_coarse = Some(step.fine_to_coarse.clone());
-            levels.push(fine);
-            fine = RansLevel::new(step.coarse.clone(), params);
+        let pmg = ParallelMg::new(&mesh, params, 1, nlevels);
+        // At one part `decompose` numbers the owned vertices ascending
+        // with no ghosts, so every local index is the global one.
+        let mut levels: Vec<RansLevel> = pmg
+            .locals
+            .into_iter()
+            .map(|mut ranks| ranks.pop().expect("one rank per level").level)
+            .collect();
+        for (l, sched) in pmg.transfers.iter().enumerate() {
+            let n = levels[l].nvertices();
+            levels[l].to_coarse = Some(sched.local_map(0, n));
         }
-        levels.push(fine);
-        let mut solver = RansSolver { levels };
+        let mut solver = RansSolver {
+            levels,
+            decomps: pmg.decomps,
+            transfers: pmg.transfers,
+        };
         solver.initialize();
         solver
     }
@@ -143,9 +67,27 @@ impl RansSolver {
         self.levels.iter().map(|l| l.nvertices()).collect()
     }
 
+    /// Run `body` on the hierarchy as rank 0 of a one-rank world.
+    fn on_one_rank<T: Send>(
+        &mut self,
+        body: impl Fn(&mut [RansLevel], &[Decomposition], &[TransferSchedule], &mut Rank) -> T + Sync,
+    ) -> T {
+        let levels = Mutex::new(&mut self.levels);
+        let (decomps, transfers) = (&self.decomps, &self.transfers);
+        let (mut out, _) = run_world(1, &ExecContext::default(), |rank| {
+            let mut levels = levels
+                .lock()
+                .expect("levels mutex poisoned by a panicked rank");
+            body(&mut levels, decomps, transfers, rank)
+        });
+        out.pop().expect("one rank")
+    }
+
     /// Run one multigrid cycle.
     pub fn cycle(&mut self, params: &CycleParams) {
-        fas_cycle(&mut self.levels, params, &mut ExecContext::default());
+        self.on_one_rank(|levels, decomps, transfers, rank| {
+            mg_recurse(levels, decomps, transfers, params, 0, rank)
+        });
     }
 
     /// Set the working CFL on every level.
@@ -165,36 +107,54 @@ impl RansSolver {
         max_cycles: usize,
     ) -> ConvergenceHistory {
         let sp = self.levels[0].params;
-        let mut history = ConvergenceHistory::default();
-        history.residuals.push(self.levels[0].residual_rms());
-        let mut cfl = sp.cfl_start.min(sp.cfl);
-        for _ in 0..max_cycles {
-            if *history.residuals.last().unwrap() <= tol {
-                break;
-            }
-            self.set_cfl(cfl);
-            fas_cycle(&mut self.levels, params, &mut ExecContext::default());
-            history.residuals.push(self.levels[0].residual_rms());
-            cfl = (cfl * 1.6).min(sp.cfl);
-        }
-        history
+        self.cycles_to_tolerance(params, tol, max_cycles, Some(sp.cfl_start.min(sp.cfl)))
     }
 
-    /// Run cycles at a fixed CFL (no ramping) — used by tests and by the
-    /// generic driver parity checks.
+    /// Run cycles at a fixed CFL (no ramping).
     pub fn solve_fixed_cfl(
         &mut self,
         params: &CycleParams,
         tol: f64,
         max_cycles: usize,
     ) -> ConvergenceHistory {
-        solve_to_tolerance(
-            &mut self.levels,
-            params,
-            tol,
-            max_cycles,
-            &mut ExecContext::default(),
-        )
+        self.cycles_to_tolerance(params, tol, max_cycles, None)
+    }
+
+    /// Cycles until the fine residual is at or below `tol`, all in one
+    /// world. A `ramp` start CFL is set before the first cycle and grows
+    /// 1.6× per cycle up to `params.cfl`; `None` keeps the current CFL.
+    fn cycles_to_tolerance(
+        &mut self,
+        params: &CycleParams,
+        tol: f64,
+        max_cycles: usize,
+        ramp: Option<f64>,
+    ) -> ConvergenceHistory {
+        let cfl_max = self.levels[0].params.cfl;
+        self.on_one_rank(|levels, decomps, transfers, rank| {
+            let mut cfl = ramp;
+            let mut before_cycle = |levels: &mut [RansLevel], r: f64| {
+                if r <= tol {
+                    return false;
+                }
+                if let Some(c) = cfl.as_mut() {
+                    for lvl in levels.iter_mut() {
+                        lvl.cfl_now = *c;
+                    }
+                    *c = (*c * 1.6).min(cfl_max);
+                }
+                true
+            };
+            run_cycles(
+                levels,
+                decomps,
+                transfers,
+                params,
+                max_cycles,
+                rank,
+                &mut before_cycle,
+            )
+        })
     }
 
     /// Total software-counted FLOPs across all levels (and reset counters).
@@ -207,7 +167,6 @@ impl RansSolver {
         self.levels.iter().map(|l| l.flops.total()).collect()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -171,3 +171,117 @@ fn measured_profile_drives_machine_model() {
         "measured profile should still scale well: {speedup}"
     );
 }
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+fn fnv_u64(h: u64, x: u64) -> u64 {
+    let mut h = h;
+    for b in x.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+fn digest(vals: impl IntoIterator<Item = u64>) -> u64 {
+    vals.into_iter().fold(FNV_OFFSET, fnv_u64)
+}
+
+/// How a [`RansSolver`] golden configuration is driven.
+#[derive(Clone, Copy, Debug)]
+enum Drive {
+    /// `solve` with its CFL ramp.
+    Ramped,
+    /// `set_cfl(4.0)` then `solve_fixed_cfl`.
+    Fixed,
+}
+
+/// `(points, jitter, levels, cycle, drive, cycles)` of each pinned run.
+const SERIAL_CONFIGS: [(usize, f64, usize, CycleType, Drive, usize); 5] = [
+    (800, 0.0, 3, CycleType::W, Drive::Ramped, 4),
+    (3000, 0.15, 4, CycleType::W, Drive::Fixed, 4),
+    (800, 0.1, 3, CycleType::V, Drive::Ramped, 4),
+    (800, 0.0, 3, CycleType::W, Drive::Fixed, 3),
+    (800, 0.0, 1, CycleType::W, Drive::Ramped, 3),
+];
+
+/// Per run: FNV-1a digests of the residual history bits, the final
+/// fine-level state bits, the per-level FLOPs and the hierarchy (level
+/// sizes and `to_coarse` maps).
+const SERIAL_GOLDEN: [[u64; 4]; 5] = [
+    [
+        0x09494716dd4c9f62,
+        0x68625ad218d5428c,
+        0x04dd04e860696f67,
+        0xfff9d60d31810bd3,
+    ],
+    [
+        0xf23515b3375404da,
+        0x02bceae1d43e085d,
+        0x9375fa7dcae4cb53,
+        0x215dff624c1d02a0,
+    ],
+    [
+        0xb19ebf799a6596ca,
+        0xa77098f3bea484b7,
+        0x63ede6c736d3f363,
+        0xc07ea47dd3c262dd,
+    ],
+    [
+        0x1cec38cd32e7d208,
+        0x3852b956a8ec9bc9,
+        0x8612430ca7f30bf8,
+        0xfff9d60d31810bd3,
+    ],
+    [
+        0xb4b5bed8e8e70aec,
+        0xe73613090b0ad676,
+        0x80c0c156e93de9e0,
+        0xad6323825fa766dc,
+    ],
+];
+
+/// Pins the bits of the `RansSolver` driver: residual history, final
+/// fine state, per-level FLOP counts and the agglomerated hierarchy.
+#[test]
+fn serial_solver_bits_are_pinned() {
+    let mut got = Vec::new();
+    for &(points, jitter, nlevels, cycle, drive, cycles) in &SERIAL_CONFIGS {
+        let mesh = wing_mesh(&WingMeshSpec {
+            jitter,
+            ..WingMeshSpec::with_target_points(points)
+        });
+        let mut solver = RansSolver::new(mesh, params(), nlevels);
+        let cp = CycleParams {
+            cycle,
+            ..Default::default()
+        };
+        let h = match drive {
+            Drive::Ramped => solver.solve(&cp, 0.0, cycles),
+            Drive::Fixed => {
+                solver.set_cfl(4.0);
+                solver.solve_fixed_cfl(&cp, 0.0, cycles)
+            }
+        };
+        let fine = &solver.levels[0];
+        let state = (0..6).flat_map(|k| fine.u.plane(k).iter().map(|x| x.to_bits()));
+        let hierarchy = solver.levels.iter().flat_map(|l| {
+            std::iter::once(l.nvertices() as u64)
+                .chain(l.to_coarse.iter().flatten().map(|&c| c as u64))
+        });
+        got.push([
+            digest(h.residuals.iter().map(|r| r.to_bits())),
+            digest(state),
+            digest(solver.level_flops()),
+            digest(hierarchy),
+        ]);
+    }
+    for (i, (g, want)) in got.iter().zip(&SERIAL_GOLDEN).enumerate() {
+        assert_eq!(
+            g, want,
+            "config {i} {:?}: digests {g:#018x?}, full table {got:#018x?}",
+            SERIAL_CONFIGS[i]
+        );
+    }
+}
